@@ -20,16 +20,24 @@ Two declared capabilities let the engine and estimators specialize:
   every trajectory (true for the convex class ``C``; false for Algorithm
   A).  Averaging-time estimators use this to stop at the *first* threshold
   crossing instead of scanning for the last one.
+
+An algorithm whose tick is a fixed formula of the two endpoint values can
+also declare that formula once through :meth:`GossipAlgorithm.pairwise_rule`
+(see :mod:`repro.algorithms.rules`); the simulator then runs it without
+calling ``on_tick``.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.graphs.graph import Graph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.algorithms.rules import PairwiseRule
 
 
 class GossipAlgorithm(abc.ABC):
@@ -109,6 +117,17 @@ class GossipAlgorithm(abc.ABC):
         algorithms that rewrite nodes other than the tick's endpoints
         (e.g. multi-hop geographic gossip), or ``None`` for a no-op.
         """
+
+    def pairwise_rule(self) -> "PairwiseRule | None":
+        """This algorithm's tick as a declarative rule, or None.
+
+        A class that overrides this declares its ``on_tick`` as one of
+        the rules in :mod:`repro.algorithms.rules`; the declaration must
+        describe exactly what ``on_tick`` computes.  It binds only the
+        defining class (:func:`~repro.algorithms.rules.declared_rule`
+        matches on exact type), so subclasses fall back to ``on_tick``.
+        """
+        return None
 
     def describe(self) -> dict:
         """Human/serialization-friendly description of the configuration."""

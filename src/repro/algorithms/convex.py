@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.base import GossipAlgorithm
+from repro.algorithms.rules import ConvexRule
 from repro.graphs.graph import Graph
 from repro.util.validation import check_probability
 
@@ -54,6 +55,9 @@ class ConvexGossip(GossipAlgorithm):
         x_u = values[u]
         x_v = values[v]
         return a * x_u + b * x_v, a * x_v + b * x_u
+
+    def pairwise_rule(self) -> ConvexRule:
+        return ConvexRule(alpha=self.alpha)
 
     def describe(self) -> dict:
         return {"name": self.name, "alpha": self.alpha}

@@ -45,6 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.base import GossipAlgorithm
+from repro.algorithms.rules import SparseCutRule
 from repro.errors import AlgorithmError
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
@@ -191,47 +192,37 @@ class NonConvexSparseCutGossip(GossipAlgorithm):
             return new_a, new_b
         return new_b, new_a
 
-    def lockstep_parameters(self) -> dict:
-        """The swap's constants as a vectorizable per-tick state machine.
+    def pairwise_rule(self) -> SparseCutRule:
+        """Algorithm A's tick, declared once for the fast consumers.
 
-        Algorithm A's ``on_tick`` is a pure function of the edge's class
-        and the designated edge's tick count, which is what lets the
-        vectorized kernel replay it in lockstep across replicates.  This
-        returns everything that kernel needs, precomputed:
-
-        * ``edge_class`` — int8 per edge: ``1`` internal (vanilla
-          averaging), ``0`` non-designated cut edge (silenced), ``2``
-          the designated edge (epoch bookkeeping);
-        * ``epoch_length`` / ``gain`` / ``oracle_means`` — the swap rule;
-        * ``endpoint_v1`` / ``endpoint_v2`` — ``v_a in V1`` / ``v_b in
-          V2``, the swap's write targets;
-        * ``designated_u_is_v1`` — whether the graph stores the
-          designated edge as ``(v_a, v_b)`` (fixes the ``(new_a, new_b)``
-          vs ``(new_b, new_a)`` return orientation once per
-          configuration);
-        * ``vertices_1`` / ``vertices_2`` — the partition sides, for the
-          ``oracle_means`` variant's side-mean reads;
-        * ``graph`` — the partition's graph, so a kernel can reject a
-          spec configured for a different graph exactly as ``setup``
-          would.
+        ``on_tick`` is a pure function of the edge's class and the
+        designated edge's tick count, which is what lets the simulator
+        and the vectorized kernel replay it without calling ``on_tick``.
         """
         graph = self.partition.graph
-        edge_class = np.ones(graph.n_edges, dtype=np.int8)
-        edge_class[self.partition.cut_edge_ids] = 0
-        edge_class[self.designated_edge] = 2
-        u, _v = graph.edge_endpoints(self.designated_edge)
-        return {
-            "edge_class": edge_class,
-            "epoch_length": self.epoch_length,
-            "gain": self.gain,
-            "oracle_means": self.oracle_means,
-            "endpoint_v1": self._endpoint_v1,
-            "endpoint_v2": self._endpoint_v2,
-            "designated_u_is_v1": bool(int(u) == int(self._endpoint_v1)),
-            "vertices_1": self.partition.vertices_1,
-            "vertices_2": self.partition.vertices_2,
-            "graph": graph,
-        }
+        edge_class = np.full(graph.n_edges, SparseCutRule.MEAN, dtype=np.int8)
+        edge_class[self.partition.cut_edge_ids] = SparseCutRule.SILENCED
+        edge_class[self.designated_edge] = SparseCutRule.DESIGNATED
+        return SparseCutRule(
+            edge_class=edge_class,
+            designated_edge=self.designated_edge,
+            epoch_length=self.epoch_length,
+            gain=self.gain,
+            endpoint_v1=self._endpoint_v1,
+            endpoint_v2=self._endpoint_v2,
+            oracle_means=self.oracle_means,
+            vertices_1=self.partition.vertices_1,
+            vertices_2=self.partition.vertices_2,
+            graph=graph,
+        )
+
+    def add_swaps(self, count: int) -> None:
+        """Count ``count`` swaps applied on this algorithm's behalf.
+
+        A caller that runs :meth:`pairwise_rule` instead of ``on_tick``
+        reports its swaps here, so :attr:`swap_count` reads the same.
+        """
+        self._swap_count += count
 
     def describe(self) -> dict:
         return {

@@ -32,15 +32,17 @@ class PushSumGossip(GossipAlgorithm):
     monotone_variance = False
 
     def __init__(self) -> None:
-        self._mass: "np.ndarray | None" = None
-        self._weight: "np.ndarray | None" = None
+        # Plain lists: per-event scalar indexing of lists is several
+        # times faster than of numpy arrays, with the same float math.
+        self._mass: "list[float] | None" = None
+        self._weight: "list[float] | None" = None
 
     def setup(
         self, graph: Graph, values: np.ndarray, rng: np.random.Generator
     ) -> None:
         super().setup(graph, values, rng)
-        self._mass = values.astype(np.float64).copy()
-        self._weight = np.ones(graph.n_vertices, dtype=np.float64)
+        self._mass = values.astype(np.float64).tolist()
+        self._weight = [1.0] * graph.n_vertices
 
     def on_tick(
         self,
@@ -51,23 +53,24 @@ class PushSumGossip(GossipAlgorithm):
         tick_count: int,
         values: "Sequence[float]",
     ) -> "tuple[float, float] | None":
-        assert self._mass is not None and self._weight is not None
+        mass = self._mass
+        weight = self._weight
+        assert mass is not None and weight is not None
         if self._rng.random() < 0.5:
             sender, receiver = u, v
         else:
             sender, receiver = v, u
-        half_mass = 0.5 * self._mass[sender]
-        half_weight = 0.5 * self._weight[sender]
-        self._mass[sender] = half_mass
-        self._weight[sender] = half_weight
-        self._mass[receiver] += half_mass
-        self._weight[receiver] += half_weight
-        estimate_u = self._mass[u] / self._weight[u]
-        estimate_v = self._mass[v] / self._weight[v]
-        return float(estimate_u), float(estimate_v)
+        half_mass = 0.5 * mass[sender]
+        half_weight = 0.5 * weight[sender]
+        mass[sender] = half_mass
+        weight[sender] = half_weight
+        mass[receiver] += half_mass
+        weight[receiver] += half_weight
+        return mass[u] / weight[u], mass[v] / weight[v]
 
     def total_mass(self) -> float:
         """Total conserved mass ``sum(s)`` (equals ``sum(x(0))`` forever)."""
         if self._mass is None:
             raise RuntimeError("setup() has not been called")
-        return float(self._mass.sum())
+        # numpy's pairwise summation, as when the masses were an array.
+        return float(np.asarray(self._mass).sum())

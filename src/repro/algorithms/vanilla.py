@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.algorithms.base import GossipAlgorithm
+from repro.algorithms.rules import MeanRule
 
 
 class VanillaGossip(GossipAlgorithm):
@@ -35,3 +36,6 @@ class VanillaGossip(GossipAlgorithm):
     ) -> "tuple[float, float] | None":
         mean = 0.5 * (values[u] + values[v])
         return mean, mean
+
+    def pairwise_rule(self) -> MeanRule:
+        return MeanRule()

@@ -134,14 +134,17 @@ class FaultPlan:
     Attributes
     ----------
     die_after:
-        Crash the worker process (no goodbye, like OOM/SIGKILL) after it
-        has sent this many results.
+        Crash the worker process (no goodbye, like OOM/SIGKILL) once it
+        has sent this many results, on receipt of its next task — so
+        that task is always in flight when it dies.
     drop_after:
-        Close the TCP connection after this many results but exit
-        cleanly — a network drop rather than a process death.
+        Close the TCP connection once this many results are sent, on
+        receipt of the next task, but exit cleanly — a network drop
+        rather than a process death.
     disconnect_after:
-        Close the TCP connection after this many results and *reconnect*
-        with backoff — a WAN flap.  Fires once per worker process.
+        Close the TCP connection once this many results are sent, on
+        receipt of the next task, and *reconnect* with backoff — a WAN
+        flap.  Fires once per worker process.
     drain_after:
         Detach gracefully (GOODBYE, results all delivered) after this
         many results — a scale-down event, not a failure.
@@ -153,6 +156,11 @@ class FaultPlan:
     slow:
         Sleep this many seconds before each task (a straggler that must
         *not* be declared dead while its heartbeats keep flowing).
+
+    A spawned worker armed with a counted fault or ``slow`` is served
+    first: until every such worker has been sent its
+    :meth:`engagement_tasks` tasks, the coordinator sends tasks to no
+    other worker, so each fault fires whichever worker connects first.
     """
 
     die_after: "int | None" = None
@@ -215,6 +223,27 @@ class FaultPlan:
                     f"fault token {token!r} has a malformed value"
                 ) from None
         return cls(**kwargs)
+
+    def engagement_tasks(self) -> int:
+        """Tasks this worker must be sent before its fault engages.
+
+        ``N + 1`` for a fault counted after ``N`` results (the extra
+        task is the one in flight when it fires), ``1`` for ``slow``,
+        and ``0`` — no hold — for the rest.
+        """
+        counts = [
+            count + 1
+            for count in (
+                self.die_after,
+                self.drop_after,
+                self.disconnect_after,
+                self.drain_after,
+            )
+            if count is not None
+        ]
+        if self.slow:
+            counts.append(1)
+        return max(counts, default=0)
 
     def to_text(self) -> "str | None":
         """Inverse of :meth:`parse` (``None`` when no fault is armed)."""
@@ -398,6 +427,19 @@ def _worker_session(
                 continue
             if kind != wire.MSG_TASK:
                 continue  # tolerate unknown kinds (forward compatibility)
+            if plan.die_after is not None and state.completed >= plan.die_after:
+                os._exit(17)  # simulated crash: no cleanup, no goodbye
+            if plan.drop_after is not None and state.completed >= plan.drop_after:
+                conn.close()  # simulated network drop (exits cleanly)
+                return "dropped"
+            if (
+                plan.disconnect_after is not None
+                and not state.disconnect_fired
+                and state.completed >= plan.disconnect_after
+            ):
+                state.disconnect_fired = True
+                conn.close()  # simulated WAN flap: reconnect with backoff
+                return "lost"
             task_id = payload["task_id"]
             spec: ReplicateSpec = payload["spec"]
             if plan.slow:
@@ -433,19 +475,6 @@ def _worker_session(
             if plan.duplicate_results:
                 conn.send(wire.MSG_RESULT, reply)
             state.completed += 1
-            if plan.die_after is not None and state.completed >= plan.die_after:
-                os._exit(17)  # simulated crash: no cleanup, no goodbye
-            if plan.drop_after is not None and state.completed >= plan.drop_after:
-                conn.close()  # simulated network drop (exits cleanly)
-                return "dropped"
-            if (
-                plan.disconnect_after is not None
-                and not state.disconnect_fired
-                and state.completed >= plan.disconnect_after
-            ):
-                state.disconnect_fired = True
-                conn.close()  # simulated WAN flap: reconnect with backoff
-                return "lost"
             if drain_after is not None and state.completed >= drain_after:
                 return _send_goodbye(
                     conn, f"drained after {state.completed} results"
@@ -758,6 +787,9 @@ class ClusterBackend(ExecutionBackend):
         #: Every worker_id that ever authenticated (re-auth = reconnect).
         self._seen_worker_ids: "set[str]" = set()
         self._spawn_ordinal = 0
+        #: pid -> tasks a fault-armed spawn must still be sent before the
+        #: rest of the fleet gets any (see FaultPlan.engagement_tasks).
+        self._engagement_holds: "dict[int, int]" = {}
         self._respawns_left = self.max_respawns
         self._free_spawns = 0
         self._next_task_id = 0
@@ -875,6 +907,7 @@ class ClusterBackend(ExecutionBackend):
         fault = self._fault_for(self._spawn_ordinal)
         if fault:
             command += ["--fault", fault]
+        engagement = FaultPlan.parse(fault).engagement_tasks()
         self._spawn_ordinal += 1
         import repro
 
@@ -901,6 +934,32 @@ class ClusterBackend(ExecutionBackend):
             stderr=None,  # surface worker tracebacks in the parent's stderr
         )
         self._pending_procs[proc.pid] = proc
+        if engagement:
+            self._engagement_holds[proc.pid] = engagement
+
+    def _holding_for_faults(self, batch_start: float) -> bool:
+        """Whether fault-armed spawns still hold the rest of the fleet back.
+
+        A hold lapses once its worker was sent its engagement tasks, when
+        it is gone (dead, drained, disconnected) or, so that a worker
+        that never starts cannot stall the batch, after
+        ``connect_timeout``.
+        """
+        if not self._engagement_holds:
+            return False
+        if time.monotonic() - batch_start > self.connect_timeout:
+            self._engagement_holds.clear()
+            return False
+        live = set(self._pending_procs)
+        live.update(
+            handle.proc.pid
+            for handle in self._workers.values()
+            if handle.proc is not None and not handle.draining
+        )
+        for pid in list(self._engagement_holds):
+            if pid not in live:
+                del self._engagement_holds[pid]
+        return bool(self._engagement_holds)
 
     def _prune_disconnected(self) -> None:
         """Drop stashed processes that died or overstayed their grace."""
@@ -1226,7 +1285,15 @@ class ClusterBackend(ExecutionBackend):
                         id_to_index,
                         f"no heartbeat for {self.heartbeat_timeout}s",
                     )
-            self._dispatch(queue, results, id_to_index, specs, state, retries)
+            self._dispatch(
+                queue,
+                results,
+                id_to_index,
+                specs,
+                state,
+                retries,
+                self._holding_for_faults(batch_start),
+            )
             if not queue:
                 self._speculate(
                     queue, results, id_to_index, specs, state, retries, speculated
@@ -1249,11 +1316,15 @@ class ClusterBackend(ExecutionBackend):
         specs: "list[ReplicateSpec]",
         state: "tuple[str, bytes] | None",
         retries: "dict[int, int]",
+        hold: bool,
     ) -> None:
         for handle in list(self._workers.values()):
             if not handle.ready or handle.draining:
                 continue
+            pid = handle.proc.pid if handle.proc is not None else None
             while queue and len(handle.inflight) < self.window:
+                if hold and pid not in self._engagement_holds:
+                    break  # held back until every armed spawn is engaged
                 task_id = queue[0]
                 index = id_to_index[task_id]
                 if index in results:
@@ -1270,6 +1341,10 @@ class ClusterBackend(ExecutionBackend):
                         "send failed",
                     )
                     break
+                if pid in self._engagement_holds:
+                    self._engagement_holds[pid] -= 1
+                    if not self._engagement_holds[pid]:
+                        del self._engagement_holds[pid]
 
     def _speculate(
         self,

@@ -68,6 +68,7 @@ import numpy as np
 
 from repro.algorithms.convex import ConvexGossip, RandomConvexGossip
 from repro.algorithms.nonconvex import NonConvexSparseCutGossip
+from repro.algorithms.rules import SparseCutRule
 from repro.algorithms.vanilla import VanillaGossip
 from repro.clocks.poisson import PoissonEdgeClocks
 from repro.clocks.unreliable import (
@@ -235,33 +236,23 @@ class _NonConvexUpdate:
     needs_rng = False
     masked = True
 
-    #: Op codes in :attr:`edge_class` / the staged per-tick op matrix.
-    OP_NONE = 0
-    OP_VANILLA = 1
-    OP_SWAP = 2
+    def __init__(self, rule: SparseCutRule) -> None:
+        # The staged per-tick op codes are the rule's edge classes.
+        self.rule = rule
 
-    def __init__(self, algorithm: NonConvexSparseCutGossip) -> None:
-        params = algorithm.lockstep_parameters()
-        self.edge_class: np.ndarray = params["edge_class"]
-        self.epoch_length: int = int(params["epoch_length"])
-        self.gain: float = float(params["gain"])
-        self.oracle_means: bool = bool(params["oracle_means"])
-        self.endpoint_v1: int = int(params["endpoint_v1"])
-        self.endpoint_v2: int = int(params["endpoint_v2"])
-        self.designated_u_is_v1: bool = bool(params["designated_u_is_v1"])
-        self.vertices_1: np.ndarray = params["vertices_1"]
-        self.vertices_2: np.ndarray = params["vertices_2"]
-        self.graph = params["graph"]
+
+# Each update below is made from the algorithm's declared rule
+# (repro.algorithms.rules), the same declaration the scalar loop runs.
 
 
 @register_update(VanillaGossip)
 def _build_vanilla(algorithm: VanillaGossip) -> _VanillaUpdate:
-    return _VanillaUpdate()
+    return _VanillaUpdate()  # MeanRule carries no constants
 
 
 @register_update(ConvexGossip)
 def _build_convex(algorithm: ConvexGossip) -> _ConvexUpdate:
-    return _ConvexUpdate(algorithm.alpha)
+    return _ConvexUpdate(algorithm.pairwise_rule().alpha)
 
 
 @register_update(RandomConvexGossip)
@@ -271,7 +262,7 @@ def _build_random_convex(algorithm: RandomConvexGossip) -> _RandomConvexUpdate:
 
 @register_update(NonConvexSparseCutGossip)
 def _build_nonconvex(algorithm: NonConvexSparseCutGossip) -> _NonConvexUpdate:
-    return _NonConvexUpdate(algorithm)
+    return _NonConvexUpdate(algorithm.pairwise_rule())
 
 
 # ----------------------------------------------------------------------
@@ -821,21 +812,21 @@ class VectorizedBatchKernel(SimulationKernel):
         if masked:
             # The scalar path validates this in Algorithm A's setup();
             # surface the same mistake with the same error here.
-            agraph = update.graph
-            if agraph is not graph and agraph != graph:
+            rule = update.rule
+            if rule.graph is not graph and rule.graph != graph:
                 raise AlgorithmError(
                     "Algorithm A was configured for a different graph than "
                     "the one it is being run on"
                 )
-            edge_class = update.edge_class
-            epoch_length = update.epoch_length
-            gain = update.gain
-            oracle_means = update.oracle_means
-            a_idx = update.endpoint_v1
-            b_idx = update.endpoint_v2
-            u_is_a = update.designated_u_is_v1
-            vertices_1 = update.vertices_1
-            vertices_2 = update.vertices_2
+            edge_class = rule.edge_class
+            epoch_length = rule.epoch_length
+            gain = rule.gain
+            oracle_means = rule.oracle_means
+            a_idx = rule.endpoint_v1
+            b_idx = rule.endpoint_v2
+            u_is_a = rule.designated_u_is_v1
+            vertices_1 = rule.vertices_1
+            vertices_2 = rule.vertices_2
 
         results: "list[RunResult | None]" = [None] * len(specs)
         members = self._setup_members(specs, graph, thresholds, results)

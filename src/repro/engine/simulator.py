@@ -28,6 +28,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.base import GossipAlgorithm
+from repro.algorithms.rules import (
+    ConvexRule,
+    PairwiseRule,
+    SparseCutRule,
+    declared_rule,
+)
 from repro.clocks.poisson import PoissonEdgeClocks
 from repro.engine.recorder import TraceRecorder
 from repro.engine.results import Crossing, RunResult
@@ -43,6 +49,10 @@ DEFAULT_BATCH_SIZE = 8_192
 
 #: Incremental statistics are recomputed exactly this often (in updates).
 DEFAULT_RECOMPUTE_EVERY = 65_536
+
+#: Op code of the fixed-alpha convex update in the declared-rule loop,
+#: next to Algorithm A's edge classes (SparseCutRule.SILENCED/MEAN/...).
+_CONVEX = 3
 
 
 class Simulator:
@@ -228,7 +238,28 @@ class Simulator:
             recorder.record(0.0, variance_0, x)
             last_recorded_event = 0
 
-        running = True
+        rule = None if recorder is not None else declared_rule(self.algorithm)
+        if rule is not None and getattr(rule, "oracle_means", False):
+            rule = None
+        if rule is not None:
+            n_events, n_updates, now, stopped_by = self._run_declared(
+                rule,
+                x,
+                edges_u,
+                edges_v,
+                total,
+                square_sum,
+                thr_abs,
+                first_below,
+                last_above,
+                target_abs,
+                divergence_abs,
+                max_time,
+                event_cap,
+                variance_0,
+            )
+
+        running = rule is None
         while running:
             remaining = event_cap - n_events
             if remaining <= 0:
@@ -332,6 +363,193 @@ class Simulator:
             trace_times=recorder.times if recorder is not None else None,
             trace_variances=recorder.variances if recorder is not None else None,
         )
+
+    def _run_declared(
+        self,
+        rule: "PairwiseRule",
+        x: "list[float]",
+        edges_u: "list[int]",
+        edges_v: "list[int]",
+        total: float,
+        square_sum: float,
+        thr_abs: "list[float]",
+        first_below: "list[float | None]",
+        last_above: "list[float]",
+        target_abs: "float | None",
+        divergence_abs: "float | None",
+        max_time: "float | None",
+        event_cap: int,
+        variance: float,
+    ) -> "tuple[int, int, float, str]":
+        """The event loop specialized to a declared pairwise rule.
+
+        Bit-identical to the generic loop in :meth:`run`: the same clock
+        requests, the same float expressions in the same order, the
+        variance recomputed only on applied updates, the sums refreshed
+        every ``recompute_every`` updates, and per event the crossing,
+        target, divergence and max-time checks in that order.  It writes
+        ``x``, ``first_below`` and ``last_above`` in place and returns
+        ``(n_events, n_updates, now, stopped_by)``.
+
+        Per-edge op codes replace the ``on_tick`` call: the rule's edge
+        classes for Algorithm A, a constant code for the memoryless
+        rules.  Threshold crossings cost one chained comparison per
+        event: between two crossings the variance stays in one band of
+        the sorted thresholds, so the loop only notes the band's latest
+        event time and writes it out when the band changes.
+        """
+        silenced = SparseCutRule.SILENCED
+        mean_op = SparseCutRule.MEAN
+        designated_op = SparseCutRule.DESIGNATED
+        convex_op = _CONVEX
+        n_edges = len(edges_u)
+        if isinstance(rule, SparseCutRule):
+            ops = rule.edge_class.tolist()
+            epoch_length = rule.epoch_length
+            gain = rule.gain
+            a_idx = rule.endpoint_v1
+            b_idx = rule.endpoint_v2
+            u_is_a = rule.designated_u_is_v1
+        elif isinstance(rule, ConvexRule):
+            ops = [convex_op] * n_edges
+            alpha = rule.alpha
+            beta = 1.0 - alpha
+        else:
+            ops = [mean_op] * n_edges
+        designated_ticks = 0
+        swaps = 0
+
+        # Stop rules with absent budgets replaced by never-true bounds;
+        # an event passing the combined test re-checks the exact rules.
+        has_target = target_abs is not None
+        has_divergence = divergence_abs is not None
+        has_max_time = max_time is not None
+        target_lo = target_abs if has_target else -math.inf
+        divergence_hi = divergence_abs if has_divergence else math.inf
+        time_hi = max_time if has_max_time else math.inf
+
+        # Threshold band: ``band_lo < variance <= band_hi`` means this
+        # event's crossing writes equal the last scanned event's.  The
+        # empty initial band sends the first event to the scan.
+        n_thresholds = len(thr_abs)
+        band_lo = math.inf
+        band_hi = -math.inf
+        band_start = n_thresholds
+        band_last: "float | None" = None
+
+        inv_n = 1.0 / len(x)
+        recompute_every = self.recompute_every
+        next_recompute = recompute_every
+        batch_size = self.batch_size
+        next_batch = self.clock.next_batch
+        n_events = 0
+        n_updates = 0
+        now = 0.0
+        stopped_by = "max_events"
+
+        running = True
+        while running:
+            remaining = event_cap - n_events
+            if remaining <= 0:
+                stopped_by = "max_events"
+                break
+            times, edge_ids = next_batch(min(batch_size, remaining))
+            if len(times) == 0:
+                stopped_by = "clock_exhausted"
+                break
+            for t, e in zip(times.tolist(), edge_ids.tolist()):
+                n_events += 1
+                op = ops[e]
+                if op == mean_op:
+                    u = edges_u[e]
+                    v = edges_v[e]
+                    old_u = x[u]
+                    old_v = x[v]
+                    new_u = new_v = 0.5 * (old_u + old_v)
+                elif op == convex_op:
+                    u = edges_u[e]
+                    v = edges_v[e]
+                    old_u = x[u]
+                    old_v = x[v]
+                    new_u = alpha * old_u + beta * old_v
+                    new_v = alpha * old_v + beta * old_u
+                elif op == designated_op:
+                    designated_ticks += 1
+                    if designated_ticks % epoch_length != 0:
+                        op = silenced
+                    else:
+                        swaps += 1
+                        u = edges_u[e]
+                        v = edges_v[e]
+                        old_u = x[u]
+                        old_v = x[v]
+                        transfer = gain * (x[b_idx] - x[a_idx])
+                        new_a = x[a_idx] + transfer
+                        new_b = x[b_idx] - transfer
+                        if u_is_a:
+                            new_u, new_v = new_a, new_b
+                        else:
+                            new_u, new_v = new_b, new_a
+                if op:
+                    square_sum += (
+                        new_u * new_u + new_v * new_v - old_u * old_u - old_v * old_v
+                    )
+                    total += new_u + new_v - old_u - old_v
+                    x[u] = new_u
+                    x[v] = new_v
+                    n_updates += 1
+                    if n_updates >= next_recompute:
+                        refreshed = np.asarray(x, dtype=np.float64)
+                        total = float(refreshed.sum())
+                        square_sum = float(refreshed @ refreshed)
+                        next_recompute = n_updates + recompute_every
+                    mean = total * inv_n
+                    variance = square_sum * inv_n - mean * mean
+                    if variance < 0.0:  # floating-point undershoot near 0
+                        variance = 0.0
+                if band_lo < variance <= band_hi:
+                    band_last = t
+                else:
+                    if band_last is not None:
+                        for i in range(band_start, n_thresholds):
+                            last_above[i] = band_last
+                        band_last = None
+                    band_start = n_thresholds
+                    for i in range(n_thresholds):
+                        if variance > thr_abs[i]:
+                            last_above[i] = t
+                            if band_start == n_thresholds:
+                                band_start = i
+                        elif first_below[i] is None:
+                            first_below[i] = t
+                    band_lo = (
+                        thr_abs[band_start] if band_start < n_thresholds else -math.inf
+                    )
+                    band_hi = thr_abs[band_start - 1] if band_start else math.inf
+                if not target_lo < variance <= divergence_hi or t >= time_hi:
+                    if has_target and variance <= target_abs:
+                        stopped_by = "target_ratio"
+                        running = False
+                        break
+                    if has_divergence and (
+                        variance > divergence_abs or variance != variance
+                    ):
+                        stopped_by = "diverged"
+                        running = False
+                        break
+                    if has_max_time and t >= max_time:
+                        stopped_by = "max_time"
+                        running = False
+                        break
+            now = t
+
+        if band_last is not None:
+            for i in range(band_start, n_thresholds):
+                last_above[i] = band_last
+        if swaps:
+            self.algorithm.add_swaps(swaps)  # type: ignore[attr-defined]
+        return n_events, n_updates, now, stopped_by
+
 
 
 def simulate(

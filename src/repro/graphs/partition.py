@@ -39,6 +39,7 @@ class Partition:
         "_cut_edge_ids",
         "_internal_edge_ids_1",
         "_internal_edge_ids_2",
+        "_sides_connected",
     )
 
     def __init__(self, graph: Graph, side: Sequence[int]) -> None:
@@ -208,9 +209,17 @@ class Partition:
         return g1, map1, g2, map2
 
     def sides_connected(self) -> tuple[bool, bool]:
-        """Whether each induced side is internally connected."""
-        g1, _, g2, _ = self.subgraphs()
-        return g1.is_connected(), g2.is_connected()
+        """Whether each induced side is internally connected.
+
+        Computed once: the partition is immutable, and Algorithm A checks
+        it for every replicate it is built for.
+        """
+        try:
+            return self._sides_connected
+        except AttributeError:
+            g1, _, g2, _ = self.subgraphs()
+            self._sides_connected = (g1.is_connected(), g2.is_connected())
+            return self._sides_connected
 
     def require_connected_sides(self) -> None:
         """Raise :class:`PartitionError` unless both sides are connected.
@@ -234,6 +243,15 @@ class Partition:
         out = pairs.copy()
         out[swapped] = out[swapped][:, ::-1]
         return out
+
+    def __getstate__(self) -> "tuple[None, dict]":
+        # Pickle only the defining state, never the connectivity cache, so
+        # a pickle's bytes do not depend on whether the cache was filled.
+        return None, {
+            name: getattr(self, name)
+            for name in Partition.__slots__
+            if name != "_sides_connected"
+        }
 
     def __repr__(self) -> str:
         return (

@@ -281,6 +281,16 @@ class TestFaultPlan:
             disconnect_after=1
         )
 
+    def test_engagement_tasks(self):
+        # A fault counted after N results needs N + 1 tasks sent: the
+        # extra one is in flight when it fires.
+        assert FaultPlan(die_after=2).engagement_tasks() == 3
+        assert FaultPlan(drain_after=2, drop_after=4).engagement_tasks() == 5
+        assert FaultPlan(slow=1.5).engagement_tasks() == 1
+        assert FaultPlan(slow_start=1.5).engagement_tasks() == 0
+        assert FaultPlan(duplicate_results=True).engagement_tasks() == 0
+        assert FaultPlan().engagement_tasks() == 0
+
     def test_invalid_specs_rejected(self):
         with pytest.raises(ClusterError, match="unknown fault token"):
             FaultPlan.parse("explode")
@@ -388,7 +398,10 @@ class TestClusterExecution:
         """The cluster analogue of the pool's shipping-economy pin:
         repeated batches against the same mapping content install state
         exactly once per worker."""
-        backend = ClusterBackend(2)
+        # Arming both workers with a token delay makes the coordinator
+        # serve each one a task before either gets a second, so both
+        # install the state whichever connects first.
+        backend = ClusterBackend(2, worker_faults=["slow:0.01", "slow:0.01"])
         try:
             runner = make_runner(backend=backend)
             slim = runner.build_specs(6, shared_key="k", max_events=200)

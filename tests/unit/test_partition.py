@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.errors import PartitionError
@@ -108,6 +110,16 @@ class TestSubgraphs:
 
     def test_require_connected_sides_passes(self, small_dumbbell):
         small_dumbbell.partition.require_connected_sides()
+
+    def test_connectivity_cached_but_never_pickled(self, small_dumbbell):
+        partition = small_dumbbell.partition
+        before = pickle.dumps(partition)
+        assert partition.sides_connected() == (True, True)
+        assert partition.sides_connected() is partition.sides_connected()
+        assert pickle.dumps(partition) == before
+        restored = pickle.loads(before)
+        assert restored.sides_connected() == (True, True)
+        assert restored.cut_size == partition.cut_size
 
     def test_repr(self, small_dumbbell):
         assert "cut_size=1" in repr(small_dumbbell.partition)

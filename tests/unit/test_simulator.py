@@ -7,7 +7,15 @@ import math
 import numpy as np
 import pytest
 
+from repro.algorithms.convex import ConvexGossip
 from repro.algorithms.nonconvex import NonConvexSparseCutGossip
+from repro.algorithms.resilient import ResilientSparseCutGossip
+from repro.algorithms.rules import (
+    ConvexRule,
+    MeanRule,
+    SparseCutRule,
+    declared_rule,
+)
 from repro.algorithms.vanilla import VanillaGossip
 from repro.clocks.schedule import RoundRobinSchedule, ScriptedSchedule
 from repro.engine.recorder import TraceRecorder
@@ -310,3 +318,83 @@ class TestSimulateForwarding:
         assert a.variance_final == pytest.approx(
             b.variance_final, rel=1e-9, abs=1e-15
         )
+
+
+def count_on_tick(algorithm):
+    """Wrap the instance's ``on_tick`` and return the call counter."""
+    calls = [0]
+    original = algorithm.on_tick
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    algorithm.on_tick = counted
+    return calls
+
+
+class TestDeclaredRuleDispatch:
+    """Which runs take the declared-rule loop, and which call on_tick."""
+
+    def test_declarations(self, small_dumbbell):
+        assert declared_rule(VanillaGossip()) == MeanRule()
+        assert declared_rule(ConvexGossip(0.25)) == ConvexRule(alpha=0.25)
+        algorithm = NonConvexSparseCutGossip(
+            small_dumbbell.partition, epoch_length=3
+        )
+        rule = declared_rule(algorithm)
+        assert isinstance(rule, SparseCutRule)
+        designated = small_dumbbell.designated_edge
+        assert rule.edge_class[designated] == SparseCutRule.DESIGNATED
+        assert rule.designated_edge == designated
+        assert (rule.epoch_length, rule.gain) == (3, algorithm.gain)
+        assert {rule.endpoint_v1, rule.endpoint_v2} == set(
+            small_dumbbell.graph.edge_endpoints(designated)
+        )
+
+    def test_declared_rules_skip_on_tick(self, small_dumbbell):
+        graph = small_dumbbell.graph
+        x0 = np.arange(graph.n_vertices, dtype=float)
+        for algorithm in (
+            VanillaGossip(),
+            ConvexGossip(0.3),
+            NonConvexSparseCutGossip(small_dumbbell.partition, epoch_length=2),
+        ):
+            calls = count_on_tick(algorithm)
+            Simulator(graph, algorithm, x0, seed=1).run(max_events=500)
+            assert calls[0] == 0
+
+    def test_resilient_subclass_keeps_on_tick(self, small_dumbbell):
+        algorithm = ResilientSparseCutGossip(
+            small_dumbbell.partition, epoch_length=2
+        )
+        assert declared_rule(algorithm) is None
+        calls = count_on_tick(algorithm)
+        x0 = np.arange(small_dumbbell.graph.n_vertices, dtype=float)
+        result = Simulator(small_dumbbell.graph, algorithm, x0, seed=1).run(
+            max_events=500
+        )
+        assert calls[0] == result.n_events == 500
+
+    def test_oracle_means_keeps_on_tick(self, small_dumbbell):
+        algorithm = NonConvexSparseCutGossip(
+            small_dumbbell.partition, epoch_length=2, oracle_means=True
+        )
+        calls = count_on_tick(algorithm)
+        x0 = np.arange(small_dumbbell.graph.n_vertices, dtype=float)
+        result = Simulator(small_dumbbell.graph, algorithm, x0, seed=1).run(
+            max_events=500
+        )
+        assert calls[0] == result.n_events == 500
+        assert algorithm.swap_count > 0
+
+    def test_recorder_keeps_on_tick(self, k6):
+        algorithm = VanillaGossip()
+        calls = count_on_tick(algorithm)
+        recorder = TraceRecorder(sample_every=10)
+        result = Simulator(k6, algorithm, np.arange(6.0), seed=1).run(
+            max_events=100, recorder=recorder
+        )
+        assert calls[0] == result.n_events == 100
+        assert len(recorder.times) > 2
+

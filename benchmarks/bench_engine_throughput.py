@@ -17,10 +17,13 @@ import time
 import pytest
 
 from repro.algorithms.nonconvex import NonConvexSparseCutGossip
+from repro.algorithms.push_sum import PushSumGossip
 from repro.algorithms.vanilla import VanillaGossip
 from repro.clocks.poisson import PoissonEdgeClocks
+from repro.core.multi_cut import MultiCutGossip
 from repro.engine.simulator import Simulator
 from repro.experiments.workloads import cut_aligned
+from repro.graphs.clustering import chain_of_cliques
 from repro.graphs.composites import two_expanders
 from repro.graphs.spectral import _fiedler_cached, laplacian_spectrum
 from repro.graphs.topologies import random_regular_graph
@@ -61,6 +64,38 @@ def test_algorithm_a_event_throughput(benchmark, pair):
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.n_events == EVENTS
     assert EVENTS / benchmark.stats["mean"] > 80_000
+
+
+def test_push_sum_event_throughput(benchmark, pair):
+    """Push-sum in the declared-rule loop, with block-drawn push coins."""
+    x0 = cut_aligned(pair.partition)
+
+    def run():
+        simulator = Simulator(pair.graph, PushSumGossip(), x0, seed=3)
+        return simulator.run(max_events=EVENTS)
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert result.n_events == EVENTS
+    events_per_second = EVENTS / benchmark.stats["mean"]
+    benchmark.extra_info["events_per_second"] = events_per_second
+    assert events_per_second > 80_000
+
+
+def test_multi_cut_event_throughput(benchmark):
+    """Multi-cut (E12's extension) on a chain of four 32-cliques."""
+    graph, clusters = chain_of_cliques(32, 4)
+    x0 = clusters.labels.astype(float)
+
+    def run():
+        algorithm = MultiCutGossip(clusters, epoch_lengths=4)
+        simulator = Simulator(graph, algorithm, x0, seed=4)
+        return simulator.run(max_events=EVENTS)
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert result.n_events == EVENTS
+    events_per_second = EVENTS / benchmark.stats["mean"]
+    benchmark.extra_info["events_per_second"] = events_per_second
+    assert events_per_second > 80_000
 
 
 def test_poisson_clock_generation(benchmark):

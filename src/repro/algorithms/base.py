@@ -21,10 +21,11 @@ Two declared capabilities let the engine and estimators specialize:
   A).  Averaging-time estimators use this to stop at the *first* threshold
   crossing instead of scanning for the last one.
 
-An algorithm whose tick is a fixed formula of the two endpoint values can
-also declare that formula once through :meth:`GossipAlgorithm.pairwise_rule`
-(see :mod:`repro.algorithms.rules`); the simulator then runs it without
-calling ``on_tick``.
+An algorithm whose tick is a fixed formula of the two endpoint values
+(possibly reading per-node state it keeps, or one random draw per tick)
+can also declare that formula once through
+:meth:`GossipAlgorithm.pairwise_rule` (see :mod:`repro.algorithms.rules`);
+the simulator then runs it without calling ``on_tick``.
 """
 
 from __future__ import annotations
@@ -123,7 +124,8 @@ class GossipAlgorithm(abc.ABC):
 
         A class that overrides this declares its ``on_tick`` as one of
         the rules in :mod:`repro.algorithms.rules`; the declaration must
-        describe exactly what ``on_tick`` computes.  It binds only the
+        describe exactly what ``on_tick`` computes.  A rule that references
+        per-run state is requested after :meth:`setup`.  It binds only the
         defining class (:func:`~repro.algorithms.rules.declared_rule`
         matches on exact type), so subclasses fall back to ``on_tick``.
         """

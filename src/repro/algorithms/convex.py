@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.base import GossipAlgorithm
-from repro.algorithms.rules import ConvexRule
+from repro.algorithms.rules import ConvexRule, RandomConvexRule
 from repro.graphs.graph import Graph
 from repro.util.validation import check_probability
 
@@ -102,6 +102,9 @@ class RandomConvexGossip(GossipAlgorithm):
         x_u = values[u]
         x_v = values[v]
         return a * x_u + b * x_v, a * x_v + b * x_u
+
+    def pairwise_rule(self) -> RandomConvexRule:
+        return RandomConvexRule(low=self.low, high=self.high)
 
     def describe(self) -> dict:
         return {"name": self.name, "low": self.low, "high": self.high}

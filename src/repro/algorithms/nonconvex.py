@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.base import GossipAlgorithm
-from repro.algorithms.rules import SparseCutRule
+from repro.algorithms.rules import SparseCutRule, Swap
 from repro.errors import AlgorithmError
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
@@ -203,21 +203,24 @@ class NonConvexSparseCutGossip(GossipAlgorithm):
         edge_class = np.full(graph.n_edges, SparseCutRule.MEAN, dtype=np.int8)
         edge_class[self.partition.cut_edge_ids] = SparseCutRule.SILENCED
         edge_class[self.designated_edge] = SparseCutRule.DESIGNATED
+        swap = Swap(
+            edge=self.designated_edge,
+            a=self._endpoint_v1,
+            b=self._endpoint_v2,
+            gain=self.gain,
+            epoch_length=self.epoch_length,
+        )
+        sides = (self.partition.vertices_1, self.partition.vertices_2)
         return SparseCutRule(
             edge_class=edge_class,
-            designated_edge=self.designated_edge,
-            epoch_length=self.epoch_length,
-            gain=self.gain,
-            endpoint_v1=self._endpoint_v1,
-            endpoint_v2=self._endpoint_v2,
-            oracle_means=self.oracle_means,
-            vertices_1=self.partition.vertices_1,
-            vertices_2=self.partition.vertices_2,
+            swaps=(swap,),
             graph=graph,
+            oracle_sides=sides if self.oracle_means else None,
         )
 
-    def add_swaps(self, count: int) -> None:
-        """Count ``count`` swaps applied on this algorithm's behalf.
+    def add_swaps(self, edge_id: int, count: int) -> None:
+        """Count ``count`` swaps of ``edge_id`` applied on this algorithm's
+        behalf.
 
         A caller that runs :meth:`pairwise_rule` instead of ``on_tick``
         reports its swaps here, so :attr:`swap_count` reads the same.

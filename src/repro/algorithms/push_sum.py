@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.base import GossipAlgorithm
+from repro.algorithms.rules import PushSumRule
 from repro.graphs.graph import Graph
 
 
@@ -67,6 +68,12 @@ class PushSumGossip(GossipAlgorithm):
         mass[receiver] += half_mass
         weight[receiver] += half_weight
         return mass[u] / weight[u], mass[v] / weight[v]
+
+    def pairwise_rule(self) -> PushSumRule:
+        """The tick over this run's mass and weight lists (after setup)."""
+        if self._mass is None or self._weight is None:
+            raise RuntimeError("setup() has not been called")
+        return PushSumRule(mass=self._mass, weight=self._weight)
 
     def total_mass(self) -> float:
         """Total conserved mass ``sum(s)`` (equals ``sum(x(0))`` forever)."""

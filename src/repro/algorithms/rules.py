@@ -1,10 +1,11 @@
 """Declarative pairwise update rules.
 
-Most of the paper's algorithms rewrite the two endpoints of the ticking
-edge with a fixed formula of their two values.  Such an algorithm
-declares that formula once, as a small frozen rule object returned by
-its ``pairwise_rule()`` method, and two consumers read the declaration
-instead of re-deriving its constants:
+Most of the repository's algorithms rewrite the two endpoints of the
+ticking edge with a fixed formula of their two values, possibly reading
+per-node state the algorithm keeps or one random draw per tick.  Such
+an algorithm declares that formula once, as a small frozen rule object
+returned by its ``pairwise_rule()`` method, and two consumers read the
+declaration instead of re-deriving its constants:
 
 * :class:`~repro.engine.simulator.Simulator` runs a declared rule in a
   specialized event loop with no ``on_tick`` call per event;
@@ -14,9 +15,33 @@ The rule kinds mirror the algorithms that declare them:
 
 * :class:`MeanRule` — vanilla gossip, ``x_u, x_v <- (x_u + x_v) / 2``;
 * :class:`ConvexRule` — fixed-``alpha`` convex gossip;
-* :class:`SparseCutRule` — the paper's Algorithm A: vanilla on internal
-  edges, silence on the other cut edges, and the non-convex swap on
-  every ``epoch_length``-th tick of the designated edge.
+* :class:`RandomConvexRule` — convex gossip with ``alpha ~ U[low, high]``
+  drawn per tick;
+* :class:`SparseCutRule` — the paper's Algorithm A and its multi-cut
+  extension: vanilla on internal edges, silence on the other cut edges,
+  and a non-convex :class:`Swap` on every ``epoch_length``-th tick of
+  each designated edge;
+* :class:`TwoTimescaleRule` — vanilla on internal edges, a slow convex
+  step on cut edges;
+* :class:`PushSumRule` — push-sum's random-direction push;
+* :class:`SecondOrderRule` — the asynchronous second-order stencil.
+
+**Rules that keep state.**  :class:`PushSumRule` and
+:class:`SecondOrderRule` reference per-run lists the algorithm owns
+(push-sum's mass and weight, the second-order previous values).  Such a
+rule is valid only for the run its algorithm was last ``setup()`` for,
+and a consumer mutates the lists in place exactly as ``on_tick`` would.
+Per-run counters that live outside the lists (swap counts, the
+two-timescale cut-tick count) are reported back through the algorithm's
+``add_swaps`` / ``add_cut_ticks``.
+
+**Rules that draw.**  :class:`PushSumRule` and :class:`RandomConvexRule`
+draw one value per tick from the generator handed to ``setup()``:
+``rng.random()`` and ``rng.uniform(low, high)``.  A consumer may draw
+them in blocks, since ``rng.random(k)`` and ``rng.uniform(low, high,
+size=k)`` yield the same doubles as ``k`` scalar calls; it must leave
+the generator where the scalar calls would have (see
+``docs/kernels.md``, "Scalar fast path").
 
 A declaration counts only on the exact class that defines
 ``pairwise_rule`` (see :func:`declared_rule`): a subclass inherits the
@@ -46,20 +71,42 @@ class ConvexRule:
     alpha: float
 
 
+@dataclass(frozen=True)
+class RandomConvexRule:
+    """:class:`ConvexRule` with ``a = rng.uniform(low, high)`` per tick."""
+
+    low: float
+    high: float
+
+
+@dataclass(frozen=True)
+class Swap:
+    """One designated edge's non-convex swap.
+
+    On every ``epoch_length``-th tick of ``edge`` (its own 1-based tick
+    count), ``transfer = gain * (x[b] - x[a])``, ``x[a] += transfer``
+    and ``x[b] -= transfer``; ``edge`` joins ``a`` and ``b``.
+    """
+
+    edge: int
+    a: int
+    b: int
+    gain: float
+    epoch_length: int
+
+
 @dataclass(frozen=True, eq=False)
 class SparseCutRule:
     """Algorithm A's tick as a function of the edge and its tick count.
 
     ``edge_class`` holds one int8 code per edge: :attr:`SILENCED` for a
-    cut edge other than the designated one, :attr:`MEAN` for an internal
-    edge (vanilla averaging), :attr:`DESIGNATED` for the designated edge.
-    On every ``epoch_length``-th tick of the designated edge the swap
-    ``transfer = gain * (x[b] - x[a])``, ``x[a] += transfer``,
-    ``x[b] -= transfer`` fires, with ``a = endpoint_v1`` in ``V1`` and
-    ``b = endpoint_v2`` in ``V2``; with ``oracle_means`` the difference
-    is read from the true side means instead.  ``vertices_1``,
-    ``vertices_2`` and ``graph`` come from the partition, for those
-    side-mean reads and for rejecting a run on a different graph.
+    cut edge that is not designated, :attr:`MEAN` for an internal edge
+    (vanilla averaging), :attr:`DESIGNATED` for the edge of one of the
+    ``swaps``.  Algorithm A declares one swap (``a`` in ``V1``, ``b`` in
+    ``V2``); the multi-cut extension one per adjacent cluster pair.
+    ``graph`` is the graph the rule was built for.  ``oracle_sides`` is
+    ``(V1, V2)`` when the swap reads the true side means instead of the
+    endpoint values (Algorithm A's ``oracle_means``), else None.
     """
 
     SILENCED: ClassVar[int] = 0
@@ -67,28 +114,61 @@ class SparseCutRule:
     DESIGNATED: ClassVar[int] = 2
 
     edge_class: np.ndarray
-    designated_edge: int
-    epoch_length: int
-    gain: float
-    endpoint_v1: int
-    endpoint_v2: int
-    oracle_means: bool
-    vertices_1: np.ndarray
-    vertices_2: np.ndarray
+    swaps: "tuple[Swap, ...]"
     graph: Graph
-
-    @property
-    def designated_u_is_v1(self) -> bool:
-        """Whether the graph stores the designated edge as ``(a, b)``.
-
-        Fixes the swap's ``(new_a, new_b)`` vs ``(new_b, new_a)`` write
-        orientation once per configuration.
-        """
-        u, _v = self.graph.edge_endpoints(self.designated_edge)
-        return int(u) == self.endpoint_v1
+    oracle_sides: "tuple[np.ndarray, np.ndarray] | None" = None
 
 
-PairwiseRule = Union[MeanRule, ConvexRule, SparseCutRule]
+@dataclass(frozen=True, eq=False)
+class TwoTimescaleRule:
+    """Vanilla on internal edges, ``x_u + step * (x_v - x_u)`` on cut edges.
+
+    ``step`` is ``slow_step``, or with ``harmonic`` the decaying
+    ``slow_step / (1.0 + (k - 1) / tau)`` at the ``k``-th cut tick of
+    the run (counted across all ``cut_edges``).
+    """
+
+    cut_edges: np.ndarray
+    slow_step: float
+    harmonic: bool
+    tau: float
+
+
+@dataclass(frozen=True, eq=False)
+class PushSumRule:
+    """A random endpoint pushes half its mass and weight to the other.
+
+    The sender is ``u`` when ``rng.random() < 0.5``, else ``v``; the new
+    estimates are ``mass[u] / weight[u]`` and ``mass[v] / weight[v]``.
+    ``mass`` and ``weight`` are the algorithm's per-run lists.
+    """
+
+    mass: "list[float]"
+    weight: "list[float]"
+
+
+@dataclass(frozen=True, eq=False)
+class SecondOrderRule:
+    """``x_u <- beta * mean + (1.0 - beta) * previous[u]``, likewise ``v``.
+
+    ``mean = 0.5 * (x_u + x_v)``; afterwards ``previous[u]`` and
+    ``previous[v]`` take the endpoints' values from before the tick.
+    ``previous`` is the algorithm's per-run list.
+    """
+
+    beta: float
+    previous: "list[float]"
+
+
+PairwiseRule = Union[
+    MeanRule,
+    ConvexRule,
+    RandomConvexRule,
+    SparseCutRule,
+    TwoTimescaleRule,
+    PushSumRule,
+    SecondOrderRule,
+]
 
 
 def declared_rule(algorithm: object) -> "PairwiseRule | None":

@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.base import GossipAlgorithm
+from repro.algorithms.rules import SecondOrderRule
 from repro.errors import AlgorithmError
 from repro.graphs.graph import Graph
 from repro.graphs.spectral import laplacian_matrix
@@ -187,13 +188,15 @@ class AsyncSecondOrderGossip(GossipAlgorithm):
             raise AlgorithmError(f"beta must be in (0, 2), got {beta}")
         self.beta = float(beta)
         self.name = f"async-second-order(beta={self.beta:g})"
-        self._previous: "np.ndarray | None" = None
+        # A plain list, as push-sum keeps its state: per-event scalar
+        # indexing of lists is faster than of numpy arrays.
+        self._previous: "list[float] | None" = None
 
     def setup(
         self, graph: Graph, values: np.ndarray, rng: np.random.Generator
     ) -> None:
         super().setup(graph, values, rng)
-        self._previous = values.astype(np.float64).copy()
+        self._previous = values.astype(np.float64).tolist()
 
     def on_tick(
         self,
@@ -211,6 +214,12 @@ class AsyncSecondOrderGossip(GossipAlgorithm):
         self._previous[u] = values[u]
         self._previous[v] = values[v]
         return float(new_u), float(new_v)
+
+    def pairwise_rule(self) -> SecondOrderRule:
+        """The tick over this run's previous-value list (after setup)."""
+        if self._previous is None:
+            raise RuntimeError("setup() has not been called")
+        return SecondOrderRule(beta=self.beta, previous=self._previous)
 
     def describe(self) -> dict:
         return {"name": self.name, "beta": self.beta}

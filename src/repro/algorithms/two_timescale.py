@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.base import GossipAlgorithm
+from repro.algorithms.rules import TwoTimescaleRule
 from repro.errors import AlgorithmError
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
@@ -110,6 +111,19 @@ class TwoTimescaleGossip(GossipAlgorithm):
         x_u = values[u]
         x_v = values[v]
         return x_u + step * (x_v - x_u), x_v + step * (x_u - x_v)
+
+    def pairwise_rule(self) -> TwoTimescaleRule:
+        return TwoTimescaleRule(
+            cut_edges=self.partition.cut_edge_ids,
+            slow_step=self.slow_step,
+            harmonic=self.schedule == "harmonic",
+            tau=self.tau,
+        )
+
+    def add_cut_ticks(self, count: int) -> None:
+        """Count ``count`` cut ticks applied on this algorithm's behalf
+        (by a caller running :meth:`pairwise_rule`)."""
+        self._cut_ticks += count
 
     def describe(self) -> dict:
         return {

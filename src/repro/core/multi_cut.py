@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.algorithms.base import GossipAlgorithm
+from repro.algorithms.rules import SparseCutRule, Swap
 from repro.core.epochs import DEFAULT_EPOCH_CONSTANT
 from repro.engine.results import RunResult
 from repro.engine.simulator import Simulator
@@ -147,6 +148,26 @@ class MultiCutGossip(GossipAlgorithm):
         if u == low:
             return new_low, new_high
         return new_high, new_low
+
+    def pairwise_rule(self) -> SparseCutRule:
+        """The tick as Algorithm A's rule with one swap per designated edge."""
+        edge_class = np.where(
+            self._is_inter_cluster, SparseCutRule.SILENCED, SparseCutRule.MEAN
+        ).astype(np.int8)
+        swaps = []
+        for edge, (low, high, gain, epoch_length) in sorted(self._swap_plan.items()):
+            edge_class[edge] = SparseCutRule.DESIGNATED
+            swaps.append(
+                Swap(edge=edge, a=low, b=high, gain=gain, epoch_length=epoch_length)
+            )
+        return SparseCutRule(
+            edge_class=edge_class, swaps=tuple(swaps), graph=self.clusters.graph
+        )
+
+    def add_swaps(self, edge_id: int, count: int) -> None:
+        """Count ``count`` swaps of ``edge_id`` applied on this algorithm's
+        behalf (by a caller running :meth:`pairwise_rule`)."""
+        self._swap_counts[edge_id] += count
 
     def describe(self) -> dict:
         return {

@@ -20,10 +20,6 @@ question:
 * the built-in registrations live with their update implementations in
   :mod:`repro.engine.kernels.vectorized` (imported lazily here, so
   importing this module alone still sees the full registry).
-
-The legacy helpers (``resolve_update`` / ``eligible_run_kwargs`` /
-``eligible_clock_factory`` in :mod:`repro.engine.kernels.vectorized`)
-are deprecation shims over this module.
 """
 
 from __future__ import annotations

@@ -61,7 +61,6 @@ kernel, with reason codes surfaced through telemetry.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -77,11 +76,9 @@ from repro.clocks.unreliable import (
 )
 from repro.engine.kernels.eligibility import (
     SUPPORTED_RUN_KWARGS as _SUPPORTED_RUN_KWARGS,
-    clock_reason as _clock_reason,
     eligibility as _spec_eligibility,
     register_update,
     resolve_update as _resolve_update,
-    run_kwargs_reasons as _run_kwargs_reasons,
 )
 from repro.engine.kernels.base import SimulationKernel, replicate_substreams
 from repro.engine.results import Crossing, RunResult
@@ -89,6 +86,7 @@ from repro.engine.simulator import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_MAX_EVENTS,
     DEFAULT_RECOMPUTE_EVERY,
+    validate_run_budget,
 )
 from repro.errors import AlgorithmError, SimulationError
 
@@ -257,51 +255,13 @@ def _build_convex(algorithm: ConvexGossip) -> _ConvexUpdate:
 
 @register_update(RandomConvexGossip)
 def _build_random_convex(algorithm: RandomConvexGossip) -> _RandomConvexUpdate:
-    return _RandomConvexUpdate(algorithm.low, algorithm.high)
+    rule = algorithm.pairwise_rule()
+    return _RandomConvexUpdate(rule.low, rule.high)
 
 
 @register_update(NonConvexSparseCutGossip)
 def _build_nonconvex(algorithm: NonConvexSparseCutGossip) -> _NonConvexUpdate:
     return _NonConvexUpdate(algorithm.pairwise_rule())
-
-
-# ----------------------------------------------------------------------
-# deprecated predicate helpers (PR 9): the public verdict lives in
-# repro.engine.kernels.eligibility now
-# ----------------------------------------------------------------------
-
-
-def resolve_update(algorithm: object) -> "object | None":
-    """Deprecated: use :func:`repro.engine.kernels.eligibility`."""
-    warnings.warn(
-        "repro.engine.kernels.vectorized.resolve_update is deprecated; use "
-        "repro.engine.kernels.eligibility (register_update / eligibility)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _resolve_update(algorithm)
-
-
-def eligible_run_kwargs(run_kwargs: "dict | Any") -> bool:
-    """Deprecated: use :func:`repro.engine.kernels.eligibility`."""
-    warnings.warn(
-        "eligible_run_kwargs is deprecated; use "
-        "repro.engine.kernels.eligibility(...) for a reasoned verdict",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return not _run_kwargs_reasons(run_kwargs)
-
-
-def eligible_clock_factory(clock_factory: "object | None") -> bool:
-    """Deprecated: use :func:`repro.engine.kernels.eligibility`."""
-    warnings.warn(
-        "eligible_clock_factory is deprecated; use "
-        "repro.engine.kernels.eligibility(...) for a reasoned verdict",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _clock_reason(clock_factory) is None
 
 
 class _Member:
@@ -819,14 +779,15 @@ class VectorizedBatchKernel(SimulationKernel):
                     "the one it is being run on"
                 )
             edge_class = rule.edge_class
-            epoch_length = rule.epoch_length
-            gain = rule.gain
-            oracle_means = rule.oracle_means
-            a_idx = rule.endpoint_v1
-            b_idx = rule.endpoint_v2
-            u_is_a = rule.designated_u_is_v1
-            vertices_1 = rule.vertices_1
-            vertices_2 = rule.vertices_2
+            (swap,) = rule.swaps  # Algorithm A declares exactly one
+            epoch_length = swap.epoch_length
+            gain = swap.gain
+            oracle_means = rule.oracle_sides is not None
+            a_idx = swap.a
+            b_idx = swap.b
+            u_is_a = graph.edge_endpoints(swap.edge)[0] == a_idx
+            if oracle_means:
+                vertices_1, vertices_2 = rule.oracle_sides
 
         results: "list[RunResult | None]" = [None] * len(specs)
         members = self._setup_members(specs, graph, thresholds, results)
@@ -1276,23 +1237,13 @@ class VectorizedBatchKernel(SimulationKernel):
 def _parse_run_kwargs(
     run_kwargs: dict,
 ) -> "tuple[float | None, int | None, float | None, Sequence[float], float | None]":
-    """Validate run kwargs with the scalar loop's exact rules/messages."""
+    """Read run kwargs with the scalar loop's defaults and validation."""
     max_time = run_kwargs.get("max_time")
     max_events = run_kwargs.get("max_events")
     target_ratio = run_kwargs.get("target_ratio")
     thresholds = run_kwargs.get("thresholds", (math.e**-2,))
     divergence_ratio = run_kwargs.get("divergence_ratio", 1e9)
-    if max_time is None and max_events is None and target_ratio is None:
-        raise SimulationError(
-            "provide at least one of max_time, max_events, target_ratio"
-        )
-    if max_time is not None and max_time <= 0:
-        raise SimulationError(f"max_time must be positive, got {max_time}")
-    if max_events is not None and max_events < 1:
-        raise SimulationError(f"max_events must be positive, got {max_events}")
-    if target_ratio is not None and target_ratio <= 0:
-        raise SimulationError(f"target_ratio must be positive, got {target_ratio}")
-    for threshold in thresholds:
-        if threshold <= 0:
-            raise SimulationError(f"thresholds must be positive, got {threshold}")
+    validate_run_budget(
+        max_time, max_events, target_ratio, thresholds, divergence_ratio
+    )
     return max_time, max_events, target_ratio, thresholds, divergence_ratio

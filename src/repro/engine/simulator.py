@@ -22,6 +22,7 @@ default; deterministic schedules can be injected for tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -31,7 +32,12 @@ from repro.algorithms.base import GossipAlgorithm
 from repro.algorithms.rules import (
     ConvexRule,
     PairwiseRule,
+    PushSumRule,
+    RandomConvexRule,
+    SecondOrderRule,
     SparseCutRule,
+    Swap,
+    TwoTimescaleRule,
     declared_rule,
 )
 from repro.clocks.poisson import PoissonEdgeClocks
@@ -50,9 +56,47 @@ DEFAULT_BATCH_SIZE = 8_192
 #: Incremental statistics are recomputed exactly this often (in updates).
 DEFAULT_RECOMPUTE_EVERY = 65_536
 
-#: Op code of the fixed-alpha convex update in the declared-rule loop,
-#: next to Algorithm A's edge classes (SparseCutRule.SILENCED/MEAN/...).
+#: Op codes of the declared-rule loop's other updates, next to Algorithm
+#: A's edge classes (SparseCutRule.SILENCED/MEAN/DESIGNATED are 0, 1, 2).
 _CONVEX = 3
+_PUSH = 4
+_SECOND_ORDER = 5
+_RANDOM_CONVEX = 6
+_SLOW = 7
+
+
+def validate_run_budget(
+    max_time: "float | None",
+    max_events: "int | None",
+    target_ratio: "float | None",
+    thresholds: "Sequence[float]",
+    divergence_ratio: "float | None",
+) -> None:
+    """Reject a run budget no kernel can honour, with one message each.
+
+    Every bound must be a positive number where given (NaN is not), and
+    at least one of ``max_time``, ``max_events`` and ``target_ratio``
+    must be given.  The scalar and vectorized kernels both validate
+    through here, so they raise the same :class:`SimulationError`.
+    """
+    if max_time is None and max_events is None and target_ratio is None:
+        raise SimulationError(
+            "provide at least one of max_time, max_events, target_ratio"
+        )
+    # ``not x > 0`` rather than ``x <= 0``: it also rejects NaN.
+    if max_time is not None and not max_time > 0:
+        raise SimulationError(f"max_time must be positive, got {max_time}")
+    if max_events is not None and not max_events >= 1:
+        raise SimulationError(f"max_events must be positive, got {max_events}")
+    if target_ratio is not None and not target_ratio > 0:
+        raise SimulationError(f"target_ratio must be positive, got {target_ratio}")
+    for threshold in thresholds:
+        if not threshold > 0:
+            raise SimulationError(f"thresholds must be positive, got {threshold}")
+    if divergence_ratio is not None and not divergence_ratio > 0:
+        raise SimulationError(
+            f"divergence_ratio must be positive, got {divergence_ratio}"
+        )
 
 
 class Simulator:
@@ -161,21 +205,9 @@ class Simulator:
             async second-order adaptation at aggressive momentum) burning
             the whole event budget.  ``None`` disables the guard.
         """
-        if max_time is None and max_events is None and target_ratio is None:
-            raise SimulationError(
-                "provide at least one of max_time, max_events, target_ratio"
-            )
-        if max_time is not None and max_time <= 0:
-            raise SimulationError(f"max_time must be positive, got {max_time}")
-        if max_events is not None and max_events < 1:
-            raise SimulationError(f"max_events must be positive, got {max_events}")
-        if target_ratio is not None and target_ratio <= 0:
-            raise SimulationError(
-                f"target_ratio must be positive, got {target_ratio}"
-            )
-        for threshold in thresholds:
-            if threshold <= 0:
-                raise SimulationError(f"thresholds must be positive, got {threshold}")
+        validate_run_budget(
+            max_time, max_events, target_ratio, thresholds, divergence_ratio
+        )
         event_cap = max_events if max_events is not None else DEFAULT_MAX_EVENTS
 
         x_array = self.initial_values.copy()
@@ -239,7 +271,7 @@ class Simulator:
             last_recorded_event = 0
 
         rule = None if recorder is not None else declared_rule(self.algorithm)
-        if rule is not None and getattr(rule, "oracle_means", False):
+        if isinstance(rule, SparseCutRule) and rule.oracle_sides is not None:
             rule = None
         if rule is not None:
             n_events, n_updates, now, stopped_by = self._run_declared(
@@ -392,32 +424,69 @@ class Simulator:
         ``(n_events, n_updates, now, stopped_by)``.
 
         Per-edge op codes replace the ``on_tick`` call: the rule's edge
-        classes for Algorithm A, a constant code for the memoryless
-        rules.  Threshold crossings cost one chained comparison per
-        event: between two crossings the variance stays in one band of
-        the sorted thresholds, so the loop only notes the band's latest
-        event time and writes it out when the band changes.
+        classes for a sparse-cut rule, internal and cut codes for the
+        two-timescale rule, a constant code for the others.  Threshold
+        crossings cost one chained comparison per event: between two
+        crossings the variance stays in one band of the sorted
+        thresholds, so the loop only notes the band's latest event time
+        and writes it out when the band changes.
+
+        A rule that draws per tick draws one block per clock batch, of
+        exactly the batch's length, right after ``next_batch``.  A run
+        that stops mid-batch restores the generator to its state before
+        the block and redraws only the ticks consumed, so results and
+        the generator's final state match the generic loop's scalar
+        draws even when the clock shares the generator.
         """
         silenced = SparseCutRule.SILENCED
         mean_op = SparseCutRule.MEAN
         designated_op = SparseCutRule.DESIGNATED
         convex_op = _CONVEX
+        push_op = _PUSH
+        second_order_op = _SECOND_ORDER
+        random_convex_op = _RANDOM_CONVEX
+        slow_op = _SLOW
         n_edges = len(edges_u)
+        # The generator setup() was handed; ``draw_block(k)`` draws the
+        # next k per-tick values of a rule that draws.
+        rng = self._algorithm_rng
+        draw_block = None
+        swaps: "tuple[Swap, ...]" = ()
+        cut_ticks = 0
         if isinstance(rule, SparseCutRule):
             ops = rule.edge_class.tolist()
-            epoch_length = rule.epoch_length
-            gain = rule.gain
-            a_idx = rule.endpoint_v1
-            b_idx = rule.endpoint_v2
-            u_is_a = rule.designated_u_is_v1
+            swaps = rule.swaps
+            swap_of: "list[Swap | None]" = [None] * n_edges
+            for swap in swaps:
+                swap_of[swap.edge] = swap
+            swap_ticks = [0] * n_edges
+            swaps_fired = [0] * n_edges
         elif isinstance(rule, ConvexRule):
             ops = [convex_op] * n_edges
             alpha = rule.alpha
             beta = 1.0 - alpha
+        elif isinstance(rule, PushSumRule):
+            ops = [push_op] * n_edges
+            mass = rule.mass
+            weight = rule.weight
+            draw_block = rng.random
+        elif isinstance(rule, SecondOrderRule):
+            ops = [second_order_op] * n_edges
+            momentum = rule.beta
+            memory = 1.0 - momentum
+            previous = rule.previous
+        elif isinstance(rule, RandomConvexRule):
+            ops = [random_convex_op] * n_edges
+            draw_block = functools.partial(rng.uniform, rule.low, rule.high)
+        elif isinstance(rule, TwoTimescaleRule):
+            ops = [mean_op] * n_edges
+            for e in rule.cut_edges.tolist():
+                ops[e] = slow_op
+            slow_step = rule.slow_step
+            harmonic = rule.harmonic
+            tau = rule.tau
         else:
             ops = [mean_op] * n_edges
-        designated_ticks = 0
-        swaps = 0
 
         # Stop rules with absent budgets replaced by never-true bounds;
         # an event passing the combined test re-checks the exact rules.
@@ -446,6 +515,8 @@ class Simulator:
         n_updates = 0
         now = 0.0
         stopped_by = "max_events"
+        batch_start = 0
+        batch_length = 0
 
         running = True
         while running:
@@ -454,9 +525,14 @@ class Simulator:
                 stopped_by = "max_events"
                 break
             times, edge_ids = next_batch(min(batch_size, remaining))
-            if len(times) == 0:
+            batch_length = len(times)
+            if batch_length == 0:
                 stopped_by = "clock_exhausted"
                 break
+            if draw_block is not None:
+                saved_state = rng.bit_generator.state
+                draw = iter(draw_block(batch_length).tolist()).__next__
+            batch_start = n_events
             for t, e in zip(times.tolist(), edge_ids.tolist()):
                 n_events += 1
                 op = ops[e]
@@ -473,20 +549,72 @@ class Simulator:
                     old_v = x[v]
                     new_u = alpha * old_u + beta * old_v
                     new_v = alpha * old_v + beta * old_u
+                elif op == push_op:
+                    u = edges_u[e]
+                    v = edges_v[e]
+                    old_u = x[u]
+                    old_v = x[v]
+                    if draw() < 0.5:
+                        sender, receiver = u, v
+                    else:
+                        sender, receiver = v, u
+                    half_mass = 0.5 * mass[sender]
+                    half_weight = 0.5 * weight[sender]
+                    mass[sender] = half_mass
+                    weight[sender] = half_weight
+                    mass[receiver] += half_mass
+                    weight[receiver] += half_weight
+                    new_u = mass[u] / weight[u]
+                    new_v = mass[v] / weight[v]
+                elif op == second_order_op:
+                    u = edges_u[e]
+                    v = edges_v[e]
+                    old_u = x[u]
+                    old_v = x[v]
+                    pair_mean = 0.5 * (old_u + old_v)
+                    new_u = momentum * pair_mean + memory * previous[u]
+                    new_v = momentum * pair_mean + memory * previous[v]
+                    previous[u] = old_u
+                    previous[v] = old_v
+                elif op == random_convex_op:
+                    u = edges_u[e]
+                    v = edges_v[e]
+                    old_u = x[u]
+                    old_v = x[v]
+                    alpha = draw()
+                    beta = 1.0 - alpha
+                    new_u = alpha * old_u + beta * old_v
+                    new_v = alpha * old_v + beta * old_u
+                elif op == slow_op:
+                    cut_ticks += 1
+                    if harmonic:
+                        step = slow_step / (1.0 + (cut_ticks - 1) / tau)
+                    else:
+                        step = slow_step
+                    u = edges_u[e]
+                    v = edges_v[e]
+                    old_u = x[u]
+                    old_v = x[v]
+                    new_u = old_u + step * (old_v - old_u)
+                    new_v = old_v + step * (old_u - old_v)
                 elif op == designated_op:
-                    designated_ticks += 1
-                    if designated_ticks % epoch_length != 0:
+                    count = swap_ticks[e] + 1
+                    swap_ticks[e] = count
+                    swap = swap_of[e]
+                    if count % swap.epoch_length != 0:
                         op = silenced
                     else:
-                        swaps += 1
+                        swaps_fired[e] += 1
                         u = edges_u[e]
                         v = edges_v[e]
                         old_u = x[u]
                         old_v = x[v]
-                        transfer = gain * (x[b_idx] - x[a_idx])
-                        new_a = x[a_idx] + transfer
-                        new_b = x[b_idx] - transfer
-                        if u_is_a:
+                        a = swap.a
+                        b = swap.b
+                        transfer = swap.gain * (x[b] - x[a])
+                        new_a = x[a] + transfer
+                        new_b = x[b] - transfer
+                        if u == a:
                             new_u, new_v = new_a, new_b
                         else:
                             new_u, new_v = new_b, new_a
@@ -543,13 +671,23 @@ class Simulator:
                         break
             now = t
 
+        # Stopped mid-batch: leave the generator where the per-tick draws
+        # of the consumed events would have.
+        consumed = n_events - batch_start
+        if draw_block is not None and consumed < batch_length:
+            rng.bit_generator.state = saved_state
+            draw_block(consumed)
         if band_last is not None:
             for i in range(band_start, n_thresholds):
                 last_above[i] = band_last
-        if swaps:
-            self.algorithm.add_swaps(swaps)  # type: ignore[attr-defined]
+        for swap in swaps:
+            if swaps_fired[swap.edge]:
+                self.algorithm.add_swaps(  # type: ignore[attr-defined]
+                    swap.edge, swaps_fired[swap.edge]
+                )
+        if cut_ticks:
+            self.algorithm.add_cut_ticks(cut_ticks)  # type: ignore[attr-defined]
         return n_events, n_updates, now, stopped_by
-
 
 
 def simulate(

@@ -1,17 +1,24 @@
 """The simulator's declared-rule loop against its generic loop.
 
-``Simulator.run`` runs vanilla, fixed-alpha convex and Algorithm A
-through a loop specialized to their declared pairwise rule
-(:mod:`repro.algorithms.rules`).  Every result must be bit-identical to
-the generic ``on_tick`` loop.  The generic loop is forced with
-exact-type subclasses: a declaration binds only the class that defines
-it, so a subclass that changes nothing runs the generic loop on the very
-same arithmetic.
+``Simulator.run`` runs every algorithm that declares a pairwise rule
+(:mod:`repro.algorithms.rules`) through a loop specialized to it.  Every
+result must be bit-identical to the generic ``on_tick`` loop.  The
+generic loop is forced with exact-type subclasses: a declaration binds
+only the class that defines it, so a subclass that changes nothing runs
+the generic loop on the very same arithmetic.
 
-Drawn here: random sparse-cut graphs and seeds, all three rules, one or
-several thresholds, every stop rule (target, max time, max events, a
-diverging swap gain, an exhausted scripted clock), tiny recompute and
-batch sizes, and the lossy, failing and scheduled clocks.
+Drawn for vanilla, convex and Algorithm A: random sparse-cut graphs and
+seeds, one or several thresholds, every stop rule (target, max time, max
+events, a diverging swap gain, an exhausted scripted clock), tiny
+recompute and batch sizes, and the lossy, failing and scheduled clocks.
+
+Drawn for push-sum, random convex, async second-order, both two-timescale
+schedules and multi-cut: the default clock sharing one generator with
+the algorithm (from an int seed or a caller's ``Generator``) or a clock
+on its own stream, tiny batch sizes, and stops in the middle of a clock
+batch.  Push-sum and random convex draw their per-tick values in blocks,
+so the generator's state after the run is compared too, along with the
+per-run state each algorithm keeps.
 """
 
 from __future__ import annotations
@@ -20,17 +27,22 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.convex import ConvexGossip
+from repro.algorithms.convex import ConvexGossip, RandomConvexGossip
 from repro.algorithms.nonconvex import NonConvexSparseCutGossip
 from repro.algorithms.push_sum import PushSumGossip
 from repro.algorithms.rules import declared_rule
+from repro.algorithms.second_order import AsyncSecondOrderGossip
+from repro.algorithms.two_timescale import TwoTimescaleGossip
 from repro.algorithms.vanilla import VanillaGossip
 from repro.clocks.poisson import PoissonEdgeClocks
 from repro.clocks.schedule import RoundRobinSchedule, ScriptedSchedule
 from repro.clocks.unreliable import FailingEdgeClocks, LossyClocks
+from repro.core.multi_cut import MultiCutGossip
 from repro.engine.results import results_identical
 from repro.engine.simulator import Simulator
+from repro.graphs.clustering import ClusterPartition, chain_of_cliques
 from repro.graphs.composites import bridged_pair
+from repro.graphs.graph import Graph
 
 
 class GenericVanilla(VanillaGossip):
@@ -171,6 +183,142 @@ class TestDeclaredRuleLoop:
             )
         assert results[0].stopped_by == "clock_exhausted"
         assert results_identical(results[0], results[1])
+
+
+STATEFUL = {
+    "push-sum": PushSumGossip,
+    "random-convex": RandomConvexGossip,
+    "second-order": AsyncSecondOrderGossip,
+    "two-timescale": TwoTimescaleGossip,
+    "multi-cut": MultiCutGossip,
+}
+GENERIC_STATEFUL = {
+    name: type(f"Generic{cls.__name__}", (cls,), {})
+    for name, cls in STATEFUL.items()
+}
+
+
+@st.composite
+def clustered_graphs(draw):
+    """A chain of cliques, plus random extra edges between clusters."""
+    size = draw(st.integers(2, 5))
+    k = draw(st.integers(2, 4))
+    chain, clusters = chain_of_cliques(size, k)
+    labels = clusters.labels
+    edges = {tuple(int(i) for i in edge) for edge in chain.edges}
+    n = size * k
+    for u, v in draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=5)
+    ):
+        if labels[u] != labels[v]:
+            edges.add((min(u, v), max(u, v)))
+    graph = Graph(n, sorted(edges))
+    return graph, ClusterPartition(graph, labels)
+
+
+@st.composite
+def stateful_configurations(draw):
+    name = draw(st.sampled_from(sorted(STATEFUL)))
+    params: dict = {}
+    if name == "multi-cut":
+        graph, clusters = draw(clustered_graphs())
+        params["clusters"] = clusters
+        pairs = clusters.adjacent_cluster_pairs
+        params["epoch_lengths"] = draw(
+            st.integers(1, 6)
+            | st.fixed_dictionaries({pair: st.integers(1, 6) for pair in pairs})
+        )
+    else:
+        pair = bridged_pair(
+            "clique",
+            draw(st.integers(2, 6)),
+            draw(st.integers(2, 8)),
+            n_bridges=draw(st.integers(1, 3)),
+        )
+        graph = pair.graph
+        if name == "random-convex":
+            low = draw(st.floats(0.0, 1.0))
+            params.update(low=low, high=draw(st.floats(low, 1.0)))
+        elif name == "second-order":
+            params["beta"] = draw(st.floats(0.05, 1.95))
+        elif name == "two-timescale":
+            params.update(
+                partition=pair.partition,
+                slow_step=draw(st.floats(0.01, 0.5)),
+                schedule=draw(st.sampled_from(["constant", "harmonic"])),
+                tau=draw(st.floats(0.5, 50.0)),
+            )
+    thresholds = draw(
+        st.lists(st.floats(1e-6, 2.0), min_size=1, max_size=3, unique=True)
+    )
+    run_kwargs = {
+        "thresholds": tuple(thresholds),
+        "target_ratio": draw(st.none() | st.floats(1e-4, 1.5)),
+        "max_time": draw(st.none() | st.floats(0.5, 40.0)),
+        "max_events": draw(st.none() | st.integers(1, 3000)),
+        # Push-sum estimates and the second-order momentum can raise the
+        # variance, so a ratio just above 1 stops runs mid-batch.
+        "divergence_ratio": draw(st.sampled_from([1e9, None, 1.02, 1.5])),
+    }
+    if run_kwargs["max_time"] is None:
+        run_kwargs["max_events"] = run_kwargs["max_events"] or 2000
+    knobs = {
+        "batch_size": draw(st.sampled_from([1, 2, 5, 97, 8192])),
+        "recompute_every": draw(st.sampled_from([1, 3, 65536])),
+    }
+    # "int" and "generator": the default clock shares the algorithm's
+    # generator; "own-clock": the clock draws from a stream of its own.
+    stream = draw(st.sampled_from(["int", "generator", "own-clock"]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    return name, graph, params, run_kwargs, knobs, stream, seed
+
+
+def run_stateful(config, generic: bool):
+    name, graph, params, run_kwargs, knobs, stream, seed = config
+    cls = (GENERIC_STATEFUL if generic else STATEFUL)[name]
+    algorithm = cls(**params)
+    values = np.random.default_rng(seed).normal(size=graph.n_vertices)
+    clock = None
+    if stream == "int":
+        rng_arg = seed
+    else:
+        rng_arg = np.random.default_rng(seed)
+        if stream == "own-clock":
+            clock = PoissonEdgeClocks(graph.n_edges, seed=seed + 1)
+    simulator = Simulator(graph, algorithm, values, clock=clock, seed=rng_arg, **knobs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = simulator.run(**run_kwargs)
+    return algorithm, result, simulator._algorithm_rng.bit_generator.state
+
+
+def kept_state(name: str, algorithm) -> object:
+    """The per-run state each algorithm reports or keeps, for comparison
+    (floats as bytes, so NaN compares equal to itself)."""
+    if name == "push-sum":
+        floats = [algorithm.total_mass(), *algorithm._mass, *algorithm._weight]
+        return np.asarray(floats).tobytes()
+    if name == "second-order":
+        return np.asarray(algorithm._previous).tobytes()
+    if name == "two-timescale":
+        return algorithm._cut_ticks
+    if name == "multi-cut":
+        return [algorithm.swap_count(edge) for edge in algorithm.designated_edges]
+    return None
+
+
+class TestStatefulAndDrawingRules:
+    @given(stateful_configurations())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical_to_generic_loop(self, config):
+        name = config[0]
+        fast_algorithm, fast, fast_state = run_stateful(config, generic=False)
+        generic_algorithm, generic, generic_state = run_stateful(config, generic=True)
+        assert declared_rule(fast_algorithm) is not None
+        assert declared_rule(generic_algorithm) is None
+        assert results_identical(fast, generic)
+        assert fast.values.tobytes() == generic.values.tobytes()
+        assert fast_state == generic_state
+        assert kept_state(name, fast_algorithm) == kept_state(name, generic_algorithm)
 
 
 def reference_push_sum_tick(mass, weight, rng, u, v):

@@ -20,6 +20,7 @@ processes.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -220,16 +221,6 @@ class TestEligibility:
         with pytest.raises(TypeError, match="algorithm type"):
             register_update(VanillaGossip())
 
-    def test_deprecated_helpers_warn_and_delegate(self):
-        from repro.engine.kernels import vectorized
-
-        with pytest.warns(DeprecationWarning, match="resolve_update"):
-            assert vectorized.resolve_update(VanillaGossip()) is not None
-        with pytest.warns(DeprecationWarning, match="eligible_clock_factory"):
-            assert vectorized.eligible_clock_factory(None)
-        with pytest.warns(DeprecationWarning, match="eligible_run_kwargs"):
-            assert not vectorized.eligible_run_kwargs({"unknown": 1})
-
     def test_supports_composes_the_rules(self, k6):
         kernel = VectorizedBatchKernel()
         runner = runner_for(k6, VanillaGossip, GaussianWorkload(6), kernel="vectorized")
@@ -364,6 +355,33 @@ class TestBitIdentity:
             runner.run(AUTO_MIN_BATCH)
         with pytest.raises(SimulationError, match="max_time must be positive"):
             runner.run(AUTO_MIN_BATCH, max_time=-1.0)
+
+    @pytest.mark.parametrize(
+        "run_kwargs, message",
+        [
+            ({"max_events": 10, "divergence_ratio": 0.0}, "divergence_ratio"),
+            ({"max_events": 10, "divergence_ratio": -2.0}, "divergence_ratio"),
+            ({"max_events": 10, "divergence_ratio": math.nan}, "divergence_ratio"),
+            ({"max_time": math.nan}, "max_time"),
+            ({"max_events": 10, "max_time": math.nan}, "max_time"),
+            ({"target_ratio": math.nan}, "target_ratio"),
+            ({"max_events": 10, "thresholds": (0.5, math.nan)}, "thresholds"),
+            ({"max_events": math.nan}, "max_events"),
+        ],
+    )
+    def test_both_kernels_reject_a_bad_budget_alike(self, k6, run_kwargs, message):
+        """One validator serves both kernels: non-positive and NaN bounds
+        are rejected up front with the same error, instead of being
+        ignored or stopping every run as diverged after one event."""
+        errors = []
+        for kernel in ("scalar", "vectorized"):
+            runner = runner_for(k6, VanillaGossip, GaussianWorkload(6), kernel=kernel)
+            with pytest.raises(
+                SimulationError, match=f"{message} must be positive"
+            ) as info:
+                runner.run(AUTO_MIN_BATCH, **run_kwargs)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
 
 class TestNonConvexLockstep:

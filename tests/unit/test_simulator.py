@@ -7,17 +7,24 @@ import math
 import numpy as np
 import pytest
 
-from repro.algorithms.convex import ConvexGossip
+from repro.algorithms.convex import ConvexGossip, RandomConvexGossip
 from repro.algorithms.nonconvex import NonConvexSparseCutGossip
+from repro.algorithms.push_sum import PushSumGossip
 from repro.algorithms.resilient import ResilientSparseCutGossip
 from repro.algorithms.rules import (
     ConvexRule,
     MeanRule,
+    RandomConvexRule,
     SparseCutRule,
+    TwoTimescaleRule,
     declared_rule,
 )
+from repro.algorithms.second_order import AsyncSecondOrderGossip
+from repro.algorithms.two_timescale import TwoTimescaleGossip
 from repro.algorithms.vanilla import VanillaGossip
 from repro.clocks.schedule import RoundRobinSchedule, ScriptedSchedule
+from repro.core.multi_cut import MultiCutGossip
+from repro.graphs.clustering import chain_of_cliques
 from repro.engine.recorder import TraceRecorder
 from repro.engine.simulator import Simulator, simulate
 from repro.errors import SimulationError
@@ -339,6 +346,9 @@ class TestDeclaredRuleDispatch:
     def test_declarations(self, small_dumbbell):
         assert declared_rule(VanillaGossip()) == MeanRule()
         assert declared_rule(ConvexGossip(0.25)) == ConvexRule(alpha=0.25)
+        assert declared_rule(RandomConvexGossip(0.1, 0.6)) == RandomConvexRule(
+            low=0.1, high=0.6
+        )
         algorithm = NonConvexSparseCutGossip(
             small_dumbbell.partition, epoch_length=3
         )
@@ -346,23 +356,90 @@ class TestDeclaredRuleDispatch:
         assert isinstance(rule, SparseCutRule)
         designated = small_dumbbell.designated_edge
         assert rule.edge_class[designated] == SparseCutRule.DESIGNATED
-        assert rule.designated_edge == designated
-        assert (rule.epoch_length, rule.gain) == (3, algorithm.gain)
-        assert {rule.endpoint_v1, rule.endpoint_v2} == set(
+        (swap,) = rule.swaps
+        assert (swap.edge, swap.epoch_length, swap.gain) == (
+            designated, 3, algorithm.gain
+        )
+        assert {swap.a, swap.b} == set(
             small_dumbbell.graph.edge_endpoints(designated)
         )
+        assert rule.oracle_sides is None
+
+    def test_multi_cut_declares_one_swap_per_designated_edge(self):
+        graph, clusters = chain_of_cliques(4, 3)
+        algorithm = MultiCutGossip(clusters, epoch_lengths={(0, 1): 2, (1, 2): 5})
+        rule = declared_rule(algorithm)
+        assert isinstance(rule, SparseCutRule)
+        assert [swap.edge for swap in rule.swaps] == algorithm.designated_edges
+        assert [swap.epoch_length for swap in rule.swaps] == [2, 5]
+        for swap in rule.swaps:
+            assert rule.edge_class[swap.edge] == SparseCutRule.DESIGNATED
+            assert clusters.labels[swap.a] < clusters.labels[swap.b]
+            assert swap.gain == 4 * 4 / 8
+
+    def test_two_timescale_declares_its_schedule(self, small_dumbbell):
+        partition = small_dumbbell.partition
+        for schedule in ("constant", "harmonic"):
+            rule = declared_rule(
+                TwoTimescaleGossip(partition, schedule=schedule, tau=4.0)
+            )
+            assert isinstance(rule, TwoTimescaleRule)
+            assert rule.harmonic == (schedule == "harmonic")
+            assert list(rule.cut_edges) == list(partition.cut_edge_ids)
+
+    def test_stateful_rules_need_setup(self):
+        for algorithm in (PushSumGossip(), AsyncSecondOrderGossip()):
+            with pytest.raises(RuntimeError, match="setup"):
+                algorithm.pairwise_rule()
 
     def test_declared_rules_skip_on_tick(self, small_dumbbell):
         graph = small_dumbbell.graph
         x0 = np.arange(graph.n_vertices, dtype=float)
-        for algorithm in (
-            VanillaGossip(),
-            ConvexGossip(0.3),
-            NonConvexSparseCutGossip(small_dumbbell.partition, epoch_length=2),
+        chain, clusters = chain_of_cliques(4, 3)
+        for run_graph, algorithm in (
+            (graph, VanillaGossip()),
+            (graph, ConvexGossip(0.3)),
+            (graph, NonConvexSparseCutGossip(small_dumbbell.partition, epoch_length=2)),
+            (graph, PushSumGossip()),
+            (graph, RandomConvexGossip(0.2, 0.7)),
+            (graph, AsyncSecondOrderGossip(1.2)),
+            (graph, TwoTimescaleGossip(small_dumbbell.partition)),
+            (graph, TwoTimescaleGossip(small_dumbbell.partition, schedule="harmonic")),
+            (chain, MultiCutGossip(clusters, epoch_lengths=2)),
         ):
             calls = count_on_tick(algorithm)
-            Simulator(graph, algorithm, x0, seed=1).run(max_events=500)
-            assert calls[0] == 0
+            values = x0[: run_graph.n_vertices]
+            result = Simulator(run_graph, algorithm, values, seed=1).run(
+                max_events=500
+            )
+            assert result.n_events == 500
+            assert calls[0] == 0, algorithm.name
+
+    def test_subclasses_and_recorders_call_on_tick_every_event(
+        self, small_dumbbell
+    ):
+        graph = small_dumbbell.graph
+        partition = small_dumbbell.partition
+        chain, clusters = chain_of_cliques(4, 3)
+        cases = [
+            (graph, lambda cls: cls(), PushSumGossip),
+            (graph, lambda cls: cls(0.2, 0.7), RandomConvexGossip),
+            (graph, lambda cls: cls(1.2), AsyncSecondOrderGossip),
+            (graph, lambda cls: cls(partition), TwoTimescaleGossip),
+            (chain, lambda cls: cls(clusters, epoch_lengths=2), MultiCutGossip),
+        ]
+        for run_graph, build, cls in cases:
+            subclass = type(f"Generic{cls.__name__}", (cls,), {})
+            for algorithm, recorder in (
+                (build(subclass), None),
+                (build(cls), TraceRecorder(sample_every=50)),
+            ):
+                calls = count_on_tick(algorithm)
+                values = np.arange(run_graph.n_vertices, dtype=float)
+                result = Simulator(run_graph, algorithm, values, seed=1).run(
+                    max_events=300, recorder=recorder
+                )
+                assert calls[0] == result.n_events == 300, cls.__name__
 
     def test_resilient_subclass_keeps_on_tick(self, small_dumbbell):
         algorithm = ResilientSparseCutGossip(

@@ -67,7 +67,7 @@ def test_algorithm_a_event_throughput(benchmark, pair):
 
 
 def test_push_sum_event_throughput(benchmark, pair):
-    """Push-sum in the declared-rule loop, with block-drawn push coins."""
+    """Push-sum in the compiled loop, with block-drawn push coins."""
     x0 = cut_aligned(pair.partition)
 
     def run():

@@ -7,8 +7,9 @@ an algorithm declares that formula once, as a small frozen rule object
 returned by its ``pairwise_rule()`` method, and two consumers read the
 declaration instead of re-deriving its constants:
 
-* :class:`~repro.engine.simulator.Simulator` runs a declared rule in a
-  specialized event loop with no ``on_tick`` call per event;
+* :class:`~repro.engine.simulator.Simulator` runs a declared rule in its
+  compiled event loop (``repro/engine/_loop.c``), with no ``on_tick``
+  call per event;
 * the vectorized kernel builds its lockstep update objects from it.
 
 The rule kinds mirror the algorithms that declare them:
@@ -30,7 +31,8 @@ The rule kinds mirror the algorithms that declare them:
 :class:`SecondOrderRule` reference per-run lists the algorithm owns
 (push-sum's mass and weight, the second-order previous values).  Such a
 rule is valid only for the run its algorithm was last ``setup()`` for,
-and a consumer mutates the lists in place exactly as ``on_tick`` would.
+and a consumer leaves the lists exactly as ``on_tick`` would have (the
+compiled loop works on array copies and writes them back at the end).
 Per-run counters that live outside the lists (swap counts, the
 two-timescale cut-tick count) are reported back through the algorithm's
 ``add_swaps`` / ``add_cut_ticks``.
@@ -41,7 +43,7 @@ draw one value per tick from the generator handed to ``setup()``:
 them in blocks, since ``rng.random(k)`` and ``rng.uniform(low, high,
 size=k)`` yield the same doubles as ``k`` scalar calls; it must leave
 the generator where the scalar calls would have (see
-``docs/kernels.md``, "Scalar fast path").
+``docs/kernels.md``, "Compiled loop").
 
 A declaration counts only on the exact class that defines
 ``pairwise_rule`` (see :func:`declared_rule`): a subclass inherits the

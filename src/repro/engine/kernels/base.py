@@ -4,9 +4,10 @@ A *kernel* is the strategy that turns resolved
 :class:`~repro.engine.backends.ReplicateSpec` work orders into
 :class:`~repro.engine.results.RunResult` objects.  Two kernels exist:
 
-* :class:`~repro.engine.kernels.scalar.ScalarKernel` — the original
-  pure-Python event loop, one replicate at a time.  It is the bit-exact
-  oracle every other kernel is measured against.
+* :class:`~repro.engine.kernels.scalar.ScalarKernel` — the simulator's
+  event loop, one replicate at a time: compiled for declared rules, the
+  generic ``on_tick`` loop otherwise.  The generic loop is the bit-exact
+  oracle every other loop and kernel is measured against.
 * :class:`~repro.engine.kernels.vectorized.VectorizedBatchKernel` —
   advances many replicates of one configuration in lockstep with numpy.
 

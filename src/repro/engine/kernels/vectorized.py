@@ -4,8 +4,8 @@ Advances many replicates of **one configuration** in lockstep: the value
 vectors live in a ``(n_replicates, n_nodes)`` float64 matrix and every
 clock tick updates one ``(replicate, vertex)`` pair per row with a
 handful of numpy gather/scatter operations, amortizing interpreter
-overhead over the whole batch.  On eligible configurations this is what
-turns the ~1 us/event pure-Python loop into tens of nanoseconds per
+overhead over the whole batch.  On eligible configurations this turns
+the ~1 us/event cost of a Python event loop into tens of nanoseconds per
 replicate-event at realistic batch widths (see
 ``benchmarks/results/BENCH_kernel_scaling.json``).
 

@@ -3,9 +3,7 @@
 Executes one algorithm on one graph under one clock process, maintaining
 exact incremental statistics:
 
-* the value vector ``x`` (kept as a plain Python list in the hot loop —
-  scalar indexing of lists is several times faster than numpy scalars,
-  and the loop runs millions of iterations);
+* the value vector ``x``;
 * the running sum ``T = sum(x)`` and square-sum ``S = sum(x^2)``, updated
   in O(1) per event and refreshed from scratch periodically to cancel
   floating-point drift, giving the population variance
@@ -16,6 +14,14 @@ exact incremental statistics:
   the paper's ``T_av`` needs the *last*, because non-convex updates make
   excursions).
 
+Two loops run the events.  The generic loop calls the algorithm's
+``on_tick`` on every event, with ``x`` a plain Python list (scalar
+indexing of lists is several times faster than of numpy arrays); it is
+the oracle and runs every algorithm.  An algorithm that declares its
+tick (:mod:`repro.algorithms.rules`) runs on the compiled loop in
+``_loop.c`` instead (:mod:`repro.engine.compiled`), bit-identical to the
+generic one, or on the generic loop when no C compiler is available.
+
 The model is the paper's: i.i.d. rate-1 Poisson clocks per edge by
 default; deterministic schedules can be injected for tests.
 """
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,6 +47,15 @@ from repro.algorithms.rules import (
     declared_rule,
 )
 from repro.clocks.poisson import PoissonEdgeClocks
+from repro.engine.compiled import (
+    BATCH_DONE,
+    DIVERGED,
+    MAX_TIME,
+    REFRESH,
+    TARGET,
+    LoopState,
+    load_loop,
+)
 from repro.engine.recorder import TraceRecorder
 from repro.engine.results import Crossing, RunResult
 from repro.errors import SimulationError
@@ -56,13 +71,22 @@ DEFAULT_BATCH_SIZE = 8_192
 #: Incremental statistics are recomputed exactly this often (in updates).
 DEFAULT_RECOMPUTE_EVERY = 65_536
 
-#: Op codes of the declared-rule loop's other updates, next to Algorithm
-#: A's edge classes (SparseCutRule.SILENCED/MEAN/DESIGNATED are 0, 1, 2).
+#: Op codes of the compiled loop's other updates (``_loop.c``), next to
+#: Algorithm A's edge classes (SparseCutRule.SILENCED/MEAN/DESIGNATED are
+#: 0, 1, 2).
 _CONVEX = 3
 _PUSH = 4
 _SECOND_ORDER = 5
 _RANDOM_CONVEX = 6
 _SLOW = 7
+
+#: Why a compiled run stopped, by ``run_batch`` return code.
+_STOPS = {TARGET: "target_ratio", DIVERGED: "diverged", MAX_TIME: "max_time"}
+
+#: Declared-rule runs in this process: on the compiled loop, or on the
+#: generic loop because no compiler was available.  Kept out of
+#: :class:`RunResult`, whose bytes feed the result digests.
+declared_runs = {"compiled": 0, "fallback": 0}
 
 
 def validate_run_budget(
@@ -233,15 +257,6 @@ class Simulator:
                 stopped_by="target_ratio",
             )
 
-        # --- hot-loop state (plain Python scalars and lists) ---
-        x = x_array.tolist()
-        edges_u = self.graph.edges[:, 0].tolist()
-        edges_v = self.graph.edges[:, 1].tolist()
-        tick_counts = [0] * self.graph.n_edges
-        total = sum_0
-        square_sum = float(x_array @ x_array)
-        inv_n = 1.0 / n
-
         # Absolute-variance thresholds (avoid a division per event).
         tracked = sorted(crossings.values(), key=lambda c: -c.threshold)
         thr_abs = [c.threshold * variance_0 for c in tracked]
@@ -254,33 +269,21 @@ class Simulator:
             divergence_ratio * variance_0 if divergence_ratio is not None else None
         )
 
-        on_tick = self.algorithm.on_tick
-        batch_size = self.batch_size
-        next_recompute = self.recompute_every
-        sample_every = recorder.sample_every if recorder is not None else 0
-        next_sample = sample_every if recorder is not None else -1
-
-        n_events = 0
-        n_updates = 0
-        now = 0.0
-        variance = variance_0
-        stopped_by = "max_events"
-        last_recorded_event = -1
-        if recorder is not None:
-            recorder.record(0.0, variance_0, x)
-            last_recorded_event = 0
-
         rule = None if recorder is not None else declared_rule(self.algorithm)
         if isinstance(rule, SparseCutRule) and rule.oracle_sides is not None:
             rule = None
+        run_batch = None
         if rule is not None:
-            n_events, n_updates, now, stopped_by = self._run_declared(
+            run_batch = load_loop()
+            declared_runs["fallback" if run_batch is None else "compiled"] += 1
+        if run_batch is not None:
+            x = x_array.copy()
+            n_events, n_updates, now, stopped_by = self._run_compiled(
+                run_batch,
                 rule,
                 x,
-                edges_u,
-                edges_v,
-                total,
-                square_sum,
+                sum_0,
+                float(x_array @ x_array),
                 thr_abs,
                 first_below,
                 last_above,
@@ -290,8 +293,33 @@ class Simulator:
                 event_cap,
                 variance_0,
             )
+        else:
+            # --- hot-loop state (plain Python scalars and lists) ---
+            x = x_array.tolist()
+            edges_u = self.graph.edges[:, 0].tolist()
+            edges_v = self.graph.edges[:, 1].tolist()
+            tick_counts = [0] * self.graph.n_edges
+            total = sum_0
+            square_sum = float(x_array @ x_array)
+            inv_n = 1.0 / n
 
-        running = rule is None
+            on_tick = self.algorithm.on_tick
+            batch_size = self.batch_size
+            next_recompute = self.recompute_every
+            sample_every = recorder.sample_every if recorder is not None else 0
+            next_sample = sample_every if recorder is not None else -1
+
+            n_events = 0
+            n_updates = 0
+            now = 0.0
+            variance = variance_0
+            stopped_by = "max_events"
+            last_recorded_event = -1
+            if recorder is not None:
+                recorder.record(0.0, variance_0, x)
+                last_recorded_event = 0
+
+        running = run_batch is None
         while running:
             remaining = event_cap - n_events
             if remaining <= 0:
@@ -396,12 +424,11 @@ class Simulator:
             trace_variances=recorder.variances if recorder is not None else None,
         )
 
-    def _run_declared(
+    def _run_compiled(
         self,
+        run_batch: "Callable[..., int]",
         rule: "PairwiseRule",
-        x: "list[float]",
-        edges_u: "list[int]",
-        edges_v: "list[int]",
+        x: np.ndarray,
         total: float,
         square_sum: float,
         thr_abs: "list[float]",
@@ -413,23 +440,16 @@ class Simulator:
         event_cap: int,
         variance: float,
     ) -> "tuple[int, int, float, str]":
-        """The event loop specialized to a declared pairwise rule.
+        """The event loop for a declared pairwise rule, in compiled C.
 
-        Bit-identical to the generic loop in :meth:`run`: the same clock
-        requests, the same float expressions in the same order, the
-        variance recomputed only on applied updates, the sums refreshed
-        every ``recompute_every`` updates, and per event the crossing,
-        target, divergence and max-time checks in that order.  It writes
-        ``x``, ``first_below`` and ``last_above`` in place and returns
-        ``(n_events, n_updates, now, stopped_by)``.
-
-        Per-edge op codes replace the ``on_tick`` call: the rule's edge
-        classes for a sparse-cut rule, internal and cut codes for the
-        two-timescale rule, a constant code for the others.  Threshold
-        crossings cost one chained comparison per event: between two
-        crossings the variance stays in one band of the sorted
-        thresholds, so the loop only notes the band's latest event time
-        and writes it out when the band changes.
+        Bit-identical to the generic loop in :meth:`run` (see
+        ``_loop.c``).  One ``run_batch`` call runs a clock batch; it
+        returns early at a ``recompute_every`` boundary, where the sums
+        are refreshed here with numpy exactly as the generic loop does,
+        and at a stop.  It writes ``x``, ``first_below`` and
+        ``last_above`` in place, writes the rule's per-run state back to
+        the algorithm, and returns ``(n_events, n_updates, now,
+        stopped_by)``.
 
         A rule that draws per tick draws one block per clock batch, of
         exactly the batch's length, right after ``next_batch``.  A run
@@ -438,89 +458,110 @@ class Simulator:
         the generator's final state match the generic loop's scalar
         draws even when the clock shares the generator.
         """
-        silenced = SparseCutRule.SILENCED
-        mean_op = SparseCutRule.MEAN
-        designated_op = SparseCutRule.DESIGNATED
-        convex_op = _CONVEX
-        push_op = _PUSH
-        second_order_op = _SECOND_ORDER
-        random_convex_op = _RANDOM_CONVEX
-        slow_op = _SLOW
-        n_edges = len(edges_u)
+        n_edges = self.graph.n_edges
+        state = LoopState()
+        # Every array the state points into stays referenced by a local
+        # until the run returns.
+        ops = np.full(n_edges, SparseCutRule.MEAN, dtype=np.int8)
+        edges_u = np.ascontiguousarray(self.graph.edges[:, 0], dtype=np.int64)
+        edges_v = np.ascontiguousarray(self.graph.edges[:, 1], dtype=np.int64)
         # The generator setup() was handed; ``draw_block(k)`` draws the
         # next k per-tick values of a rule that draws.
         rng = self._algorithm_rng
         draw_block = None
         swaps: "tuple[Swap, ...]" = ()
-        cut_ticks = 0
+        kept: "list[tuple[list[float], np.ndarray]]" = []
         if isinstance(rule, SparseCutRule):
-            ops = rule.edge_class.tolist()
+            ops = np.ascontiguousarray(rule.edge_class, dtype=np.int8)
             swaps = rule.swaps
-            swap_of: "list[Swap | None]" = [None] * n_edges
+            swap_a = np.zeros(n_edges, dtype=np.int64)
+            swap_b = np.zeros(n_edges, dtype=np.int64)
+            swap_gain = np.zeros(n_edges)
+            swap_epoch = np.ones(n_edges, dtype=np.int64)
             for swap in swaps:
-                swap_of[swap.edge] = swap
-            swap_ticks = [0] * n_edges
-            swaps_fired = [0] * n_edges
+                swap_a[swap.edge] = swap.a
+                swap_b[swap.edge] = swap.b
+                swap_gain[swap.edge] = swap.gain
+                swap_epoch[swap.edge] = swap.epoch_length
+            swap_ticks = np.zeros(n_edges, dtype=np.int64)
+            swaps_fired = np.zeros(n_edges, dtype=np.int64)
+            state.swap_a = swap_a.ctypes.data
+            state.swap_b = swap_b.ctypes.data
+            state.swap_gain = swap_gain.ctypes.data
+            state.swap_epoch = swap_epoch.ctypes.data
+            state.swap_ticks = swap_ticks.ctypes.data
+            state.swaps_fired = swaps_fired.ctypes.data
         elif isinstance(rule, ConvexRule):
-            ops = [convex_op] * n_edges
-            alpha = rule.alpha
-            beta = 1.0 - alpha
+            ops[:] = _CONVEX
+            state.alpha = rule.alpha
         elif isinstance(rule, PushSumRule):
-            ops = [push_op] * n_edges
-            mass = rule.mass
-            weight = rule.weight
+            ops[:] = _PUSH
+            mass = np.array(rule.mass)
+            weight = np.array(rule.weight)
+            kept = [(rule.mass, mass), (rule.weight, weight)]
+            state.mass = mass.ctypes.data
+            state.weight = weight.ctypes.data
             draw_block = rng.random
         elif isinstance(rule, SecondOrderRule):
-            ops = [second_order_op] * n_edges
-            momentum = rule.beta
-            memory = 1.0 - momentum
-            previous = rule.previous
+            ops[:] = _SECOND_ORDER
+            previous = np.array(rule.previous)
+            kept = [(rule.previous, previous)]
+            state.previous = previous.ctypes.data
+            state.momentum = rule.beta
         elif isinstance(rule, RandomConvexRule):
-            ops = [random_convex_op] * n_edges
+            ops[:] = _RANDOM_CONVEX
             draw_block = functools.partial(rng.uniform, rule.low, rule.high)
         elif isinstance(rule, TwoTimescaleRule):
-            ops = [mean_op] * n_edges
-            for e in rule.cut_edges.tolist():
-                ops[e] = slow_op
-            slow_step = rule.slow_step
-            harmonic = rule.harmonic
-            tau = rule.tau
-        else:
-            ops = [mean_op] * n_edges
+            ops[rule.cut_edges] = _SLOW
+            state.slow_step = rule.slow_step
+            state.harmonic = rule.harmonic
+            state.tau = rule.tau
+        # C indexes these arrays by edge and vertex without bounds checks.
+        n = len(x)
+        if (
+            ops.shape != (n_edges,)
+            or any(array.shape != (n,) for _, array in kept)
+            or any(
+                not (0 <= swap.a < n and 0 <= swap.b < n and swap.epoch_length >= 1)
+                for swap in swaps
+            )
+        ):
+            raise SimulationError("the declared rule does not fit the graph")
+        state.ops = ops.ctypes.data
+        state.edges_u = edges_u.ctypes.data
+        state.edges_v = edges_v.ctypes.data
+        state.x = x.ctypes.data
 
-        # Stop rules with absent budgets replaced by never-true bounds;
-        # an event passing the combined test re-checks the exact rules.
-        has_target = target_abs is not None
-        has_divergence = divergence_abs is not None
-        has_max_time = max_time is not None
-        target_lo = target_abs if has_target else -math.inf
-        divergence_hi = divergence_abs if has_divergence else math.inf
-        time_hi = max_time if has_max_time else math.inf
-
-        # Threshold band: ``band_lo < variance <= band_hi`` means this
-        # event's crossing writes equal the last scanned event's.  The
-        # empty initial band sends the first event to the scan.
-        n_thresholds = len(thr_abs)
-        band_lo = math.inf
-        band_hi = -math.inf
-        band_start = n_thresholds
-        band_last: "float | None" = None
-
-        inv_n = 1.0 / len(x)
+        thresholds = np.array(thr_abs, dtype=np.float64)
+        below = np.zeros(len(thr_abs))
+        below_seen = np.zeros(len(thr_abs), dtype=np.int8)
+        above = np.array(last_above, dtype=np.float64)
+        state.n_thresholds = len(thr_abs)
+        state.thr_abs = thresholds.ctypes.data
+        state.first_below = below.ctypes.data
+        state.below_seen = below_seen.ctypes.data
+        state.last_above = above.ctypes.data
+        # An absent stop rule is off; its bound is never read.
+        state.has_target = target_abs is not None
+        state.target_abs = target_abs or 0.0
+        state.has_divergence = divergence_abs is not None
+        state.divergence_abs = divergence_abs or 0.0
+        state.has_max_time = max_time is not None
+        state.max_time = max_time or 0.0
+        state.inv_n = 1.0 / n
+        state.total = total
+        state.square_sum = square_sum
+        state.variance = variance
         recompute_every = self.recompute_every
-        next_recompute = recompute_every
+        state.next_recompute = recompute_every
+
         batch_size = self.batch_size
         next_batch = self.clock.next_batch
-        n_events = 0
-        n_updates = 0
-        now = 0.0
         stopped_by = "max_events"
         batch_start = 0
         batch_length = 0
-
-        running = True
-        while running:
-            remaining = event_cap - n_events
+        while True:
+            remaining = event_cap - state.n_events
             if remaining <= 0:
                 stopped_by = "max_events"
                 break
@@ -529,165 +570,61 @@ class Simulator:
             if batch_length == 0:
                 stopped_by = "clock_exhausted"
                 break
+            # C reads exactly what it is given: check before it reads.
+            times = np.ascontiguousarray(times, dtype=np.float64)
+            edge_ids = np.ascontiguousarray(edge_ids, dtype=np.int64)
+            if len(edge_ids) != batch_length:
+                raise SimulationError(
+                    f"clock batch has {batch_length} times but "
+                    f"{len(edge_ids)} edge ids"
+                )
+            if edge_ids.min() < 0 or edge_ids.max() >= n_edges:
+                raise SimulationError(
+                    f"clock produced an edge id outside [0, {n_edges})"
+                )
+            draws = None
             if draw_block is not None:
                 saved_state = rng.bit_generator.state
-                draw = iter(draw_block(batch_length).tolist()).__next__
-            batch_start = n_events
-            for t, e in zip(times.tolist(), edge_ids.tolist()):
-                n_events += 1
-                op = ops[e]
-                if op == mean_op:
-                    u = edges_u[e]
-                    v = edges_v[e]
-                    old_u = x[u]
-                    old_v = x[v]
-                    new_u = new_v = 0.5 * (old_u + old_v)
-                elif op == convex_op:
-                    u = edges_u[e]
-                    v = edges_v[e]
-                    old_u = x[u]
-                    old_v = x[v]
-                    new_u = alpha * old_u + beta * old_v
-                    new_v = alpha * old_v + beta * old_u
-                elif op == push_op:
-                    u = edges_u[e]
-                    v = edges_v[e]
-                    old_u = x[u]
-                    old_v = x[v]
-                    if draw() < 0.5:
-                        sender, receiver = u, v
-                    else:
-                        sender, receiver = v, u
-                    half_mass = 0.5 * mass[sender]
-                    half_weight = 0.5 * weight[sender]
-                    mass[sender] = half_mass
-                    weight[sender] = half_weight
-                    mass[receiver] += half_mass
-                    weight[receiver] += half_weight
-                    new_u = mass[u] / weight[u]
-                    new_v = mass[v] / weight[v]
-                elif op == second_order_op:
-                    u = edges_u[e]
-                    v = edges_v[e]
-                    old_u = x[u]
-                    old_v = x[v]
-                    pair_mean = 0.5 * (old_u + old_v)
-                    new_u = momentum * pair_mean + memory * previous[u]
-                    new_v = momentum * pair_mean + memory * previous[v]
-                    previous[u] = old_u
-                    previous[v] = old_v
-                elif op == random_convex_op:
-                    u = edges_u[e]
-                    v = edges_v[e]
-                    old_u = x[u]
-                    old_v = x[v]
-                    alpha = draw()
-                    beta = 1.0 - alpha
-                    new_u = alpha * old_u + beta * old_v
-                    new_v = alpha * old_v + beta * old_u
-                elif op == slow_op:
-                    cut_ticks += 1
-                    if harmonic:
-                        step = slow_step / (1.0 + (cut_ticks - 1) / tau)
-                    else:
-                        step = slow_step
-                    u = edges_u[e]
-                    v = edges_v[e]
-                    old_u = x[u]
-                    old_v = x[v]
-                    new_u = old_u + step * (old_v - old_u)
-                    new_v = old_v + step * (old_u - old_v)
-                elif op == designated_op:
-                    count = swap_ticks[e] + 1
-                    swap_ticks[e] = count
-                    swap = swap_of[e]
-                    if count % swap.epoch_length != 0:
-                        op = silenced
-                    else:
-                        swaps_fired[e] += 1
-                        u = edges_u[e]
-                        v = edges_v[e]
-                        old_u = x[u]
-                        old_v = x[v]
-                        a = swap.a
-                        b = swap.b
-                        transfer = swap.gain * (x[b] - x[a])
-                        new_a = x[a] + transfer
-                        new_b = x[b] - transfer
-                        if u == a:
-                            new_u, new_v = new_a, new_b
-                        else:
-                            new_u, new_v = new_b, new_a
-                if op:
-                    square_sum += (
-                        new_u * new_u + new_v * new_v - old_u * old_u - old_v * old_v
-                    )
-                    total += new_u + new_v - old_u - old_v
-                    x[u] = new_u
-                    x[v] = new_v
-                    n_updates += 1
-                    if n_updates >= next_recompute:
-                        refreshed = np.asarray(x, dtype=np.float64)
-                        total = float(refreshed.sum())
-                        square_sum = float(refreshed @ refreshed)
-                        next_recompute = n_updates + recompute_every
-                    mean = total * inv_n
-                    variance = square_sum * inv_n - mean * mean
-                    if variance < 0.0:  # floating-point undershoot near 0
-                        variance = 0.0
-                if band_lo < variance <= band_hi:
-                    band_last = t
-                else:
-                    if band_last is not None:
-                        for i in range(band_start, n_thresholds):
-                            last_above[i] = band_last
-                        band_last = None
-                    band_start = n_thresholds
-                    for i in range(n_thresholds):
-                        if variance > thr_abs[i]:
-                            last_above[i] = t
-                            if band_start == n_thresholds:
-                                band_start = i
-                        elif first_below[i] is None:
-                            first_below[i] = t
-                    band_lo = (
-                        thr_abs[band_start] if band_start < n_thresholds else -math.inf
-                    )
-                    band_hi = thr_abs[band_start - 1] if band_start else math.inf
-                if not target_lo < variance <= divergence_hi or t >= time_hi:
-                    if has_target and variance <= target_abs:
-                        stopped_by = "target_ratio"
-                        running = False
-                        break
-                    if has_divergence and (
-                        variance > divergence_abs or variance != variance
-                    ):
-                        stopped_by = "diverged"
-                        running = False
-                        break
-                    if has_max_time and t >= max_time:
-                        stopped_by = "max_time"
-                        running = False
-                        break
-            now = t
+                draws = np.ascontiguousarray(draw_block(batch_length))
+            batch_start = state.n_events
+            state.position = 0
+            arguments = (
+                state,
+                times.ctypes.data,
+                edge_ids.ctypes.data,
+                batch_length,
+                None if draws is None else draws.ctypes.data,
+            )
+            status = run_batch(*arguments)
+            while status == REFRESH:
+                state.total = float(x.sum())
+                state.square_sum = float(x @ x)
+                state.next_recompute = state.n_updates + recompute_every
+                status = run_batch(*arguments)
+            if status != BATCH_DONE:
+                stopped_by = _STOPS[status]
+                break
 
         # Stopped mid-batch: leave the generator where the per-tick draws
         # of the consumed events would have.
-        consumed = n_events - batch_start
+        consumed = state.n_events - batch_start
         if draw_block is not None and consumed < batch_length:
             rng.bit_generator.state = saved_state
             draw_block(consumed)
-        if band_last is not None:
-            for i in range(band_start, n_thresholds):
-                last_above[i] = band_last
+        for target, array in kept:
+            target[:] = array.tolist()
+        for i in range(len(thr_abs)):
+            last_above[i] = float(above[i])
+            if below_seen[i]:
+                first_below[i] = float(below[i])
         for swap in swaps:
             if swaps_fired[swap.edge]:
                 self.algorithm.add_swaps(  # type: ignore[attr-defined]
-                    swap.edge, swaps_fired[swap.edge]
+                    swap.edge, int(swaps_fired[swap.edge])
                 )
-        if cut_ticks:
-            self.algorithm.add_cut_ticks(cut_ticks)  # type: ignore[attr-defined]
-        return n_events, n_updates, now, stopped_by
+        if state.cut_ticks:
+            self.algorithm.add_cut_ticks(state.cut_ticks)  # type: ignore[attr-defined]
+        return state.n_events, state.n_updates, state.now, stopped_by
 
 
 def simulate(

@@ -45,15 +45,11 @@ any custom backend) resolves them in-process against the very same
 objects — so results stay bit-identical whether state is shipped,
 inlined, or never leaves the process.
 
-Backend selection: pass an :class:`ExecutionBackend`, a registered
-backend name (``"serial"``, ``"process"``, or ``"cluster"`` — see
-:func:`register_backend`), or just ``n_workers`` to
+Backend selection: pass an :class:`ExecutionBackend`, a backend name
+(``"serial"`` or ``"process"``), or just ``n_workers`` to
 :func:`resolve_backend`; with neither, the ``REPRO_WORKERS`` environment
 variable (the CLI's ``--workers`` flag sets it) picks the worker count,
-defaulting to serial execution.  The ``"cluster"`` name resolves lazily
-to :class:`~repro.engine.cluster.ClusterBackend`, the TCP
-coordinator/worker backend speaking this same spec/shared-state
-protocol across process — and machine — boundaries.
+defaulting to serial execution.
 """
 
 from __future__ import annotations
@@ -228,20 +224,17 @@ def _check_no_refs(specs: "Sequence[ReplicateSpec]") -> None:
             )
 
 
-def check_no_recorder(
-    specs: "Sequence[ReplicateSpec]", *, backend_hint: str
-) -> None:
+def check_no_recorder(specs: "Sequence[ReplicateSpec]") -> None:
     """Reject specs carrying a caller-side recorder.
 
     A recorder is caller-side mutable state; a worker's appends never
-    cross back over a process (or machine) boundary, so the caller would
-    silently get an empty recorder.  Shared by every out-of-process
-    backend.
+    cross back over the process boundary, so the caller would silently
+    get an empty recorder.
     """
     for spec in specs:
         if spec.run_kwargs.get("recorder") is not None:
             raise SimulationError(
-                f"recorder cannot be used with {backend_hint} — "
+                "recorder cannot be used with process execution — "
                 "worker-side samples never reach the caller's recorder "
                 "object; run with the serial backend (n_workers=1) to "
                 "trace replicates"
@@ -287,10 +280,10 @@ def check_batch_picklable(specs: "Sequence[ReplicateSpec]") -> None:
 def pickle_shared_state(shared_state: "Mapping[str, Any]") -> "tuple[str, bytes]":
     """Pickle a shared-state mapping and return ``(digest, blob)``.
 
-    The content digest is what lets backends ship a mapping **at most
-    once per worker**: equal-but-distinct mappings hash identically, so
-    neither the process pool nor the cluster coordinator re-ships (or
-    restarts anything) unless the payload genuinely changed.
+    The content digest is what lets the process pool ship a mapping
+    **at most once per worker**: equal-but-distinct mappings hash
+    identically, so the pool is not restarted unless the payload
+    genuinely changed.
     """
     try:
         blob = pickle.dumps(dict(shared_state), protocol=pickle.HIGHEST_PROTOCOL)
@@ -345,11 +338,11 @@ class ExecutionBackend(abc.ABC):
         )
 
     def shutdown(self) -> None:
-        """Release any external resources (pools, workers, sockets).
+        """Release any external resources (worker pools).
 
-        No-op by default; backends owning processes or connections
-        override it.  Callers may invoke it unconditionally — a later
-        ``execute`` transparently rebuilds whatever was released.
+        No-op by default; backends owning processes override it.
+        Callers may invoke it unconditionally — a later ``execute``
+        transparently rebuilds whatever was released.
         """
 
     def __repr__(self) -> str:
@@ -361,33 +354,19 @@ def execute_with_retry(
     specs: "Sequence[ReplicateSpec]",
     *,
     shared_state: "Mapping[str, Any] | None" = None,
-    max_retries: int = 1,
-    on_retry: "Callable[[Exception], None] | None" = None,
 ) -> "list[RunResult]":
-    """Execute a batch, re-running it after *retryable* backend failures.
+    """Execute one batch: the single call every Monte-Carlo and sweep
+    batch passes through on its way to a backend.
 
-    A failure is retryable when the raised exception carries a truthy
-    ``retryable`` attribute (:class:`~repro.errors.ClusterError` sets it
-    for transient fleet loss).  Because every replicate's randomness is
-    a pure function of its spec, a retried batch is bit-identical to an
-    undisturbed one — retrying is free of reproducibility cost by
-    construction.  Deterministic failures (unpicklable specs, a
-    replicate that raises) propagate immediately.  ``on_retry`` is
-    called with the swallowed exception before each re-run (telemetry
-    hook for the sweep scheduler's stats).
+    Slim specs go through :meth:`ExecutionBackend.execute_shared` with
+    ``shared_state``; inline specs through :meth:`ExecutionBackend
+    .execute`.  Failures propagate unchanged: nothing is retried.  The
+    name is kept because this is the one seam where every batch can be
+    observed — ``perfbench`` counts replicate events by wrapping it.
     """
-    attempts = 0
-    while True:
-        try:
-            if shared_state is not None:
-                return backend.execute_shared(specs, shared_state)
-            return backend.execute(specs)
-        except Exception as exc:
-            if not getattr(exc, "retryable", False) or attempts >= max_retries:
-                raise
-            attempts += 1
-            if on_retry is not None:
-                on_retry(exc)
+    if shared_state is not None:
+        return backend.execute_shared(specs, shared_state)
+    return backend.execute(specs)
 
 
 class SerialBackend(ExecutionBackend):
@@ -602,7 +581,7 @@ class ProcessPoolBackend(ExecutionBackend):
             # identical by construction (same kernels, same seeds).
             _check_no_refs(specs)
             return _kernel_execute_specs(specs, stats=self.kernel_stats)
-        check_no_recorder(specs, backend_hint="process execution")
+        check_no_recorder(specs)
         check_batch_picklable(specs)
         if self._pool is None:
             # Lazily created and reused across execute() calls: an
@@ -629,7 +608,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 resolve_replicate_spec(spec, shared_state) for spec in specs
             ]
             return _kernel_execute_specs(resolved, stats=self.kernel_stats)
-        check_no_recorder(specs, backend_hint="process execution")
+        check_no_recorder(specs)
         check_batch_picklable(specs)
         self._ensure_shared_pool(shared_state)
         return self._map_chunks(_execute_shared_spec_chunk, specs)
@@ -782,52 +761,17 @@ def scoped_shared_backends():
         shutdown_shared_backends(only=set(_SHARED_PROCESS_BACKENDS) - before)
 
 
-def _serial_factory(n_workers: "int | None") -> ExecutionBackend:
-    return SerialBackend()
-
-
-def _process_factory(n_workers: "int | None") -> ExecutionBackend:
-    return shared_process_backend(n_workers)
-
-
-def _cluster_factory(n_workers: "int | None") -> ExecutionBackend:
-    # Function-local import: cluster.py imports this module, so a
-    # top-level import here would be circular.
-    from repro.engine.cluster import ClusterBackend
-
-    return ClusterBackend(n_workers)
-
-
-#: Name -> factory registry behind :func:`resolve_backend`.  Factories
-#: take the requested worker count (``None`` = backend default) and
-#: return a ready backend; third-party backends join via
-#: :func:`register_backend`.
+#: Name -> factory behind :func:`resolve_backend`.  Factories take the
+#: requested worker count (``None`` = backend default) and return a
+#: ready backend.
 _BACKEND_FACTORIES: "dict[str, Callable[[int | None], ExecutionBackend]]" = {
-    "serial": _serial_factory,
-    "process": _process_factory,
-    "cluster": _cluster_factory,
+    "serial": lambda n_workers: SerialBackend(),
+    "process": shared_process_backend,
 }
 
 
-def register_backend(
-    name: str, factory: "Callable[[int | None], ExecutionBackend]"
-) -> None:
-    """Register (or replace) a named backend factory.
-
-    ``factory(n_workers)`` must return an :class:`ExecutionBackend`;
-    the name becomes valid everywhere a backend string is accepted
-    (``resolve_backend``, ``MonteCarloRunner``, ``SweepRunner``, the
-    CLI's ``--backend`` flag).
-    """
-    if not name or not isinstance(name, str):
-        raise SimulationError(f"backend name must be a non-empty str, got {name!r}")
-    if not callable(factory):
-        raise SimulationError(f"backend factory must be callable, got {factory!r}")
-    _BACKEND_FACTORIES[name] = factory
-
-
 def registered_backends() -> "tuple[str, ...]":
-    """The currently registered backend names (sorted)."""
+    """The backend names :func:`resolve_backend` accepts (sorted)."""
     return tuple(sorted(_BACKEND_FACTORIES))
 
 
@@ -839,8 +783,7 @@ def resolve_backend(
     """Coerce a backend choice into an :class:`ExecutionBackend`.
 
     Accepts an existing backend instance (returned unchanged), a
-    registered backend name (``"serial"``, ``"process"``, ``"cluster"``,
-    or anything added via :func:`register_backend`), or ``None`` — in
+    backend name (``"serial"`` or ``"process"``), or ``None`` — in
     which case ``n_workers`` (falling back to the ``REPRO_WORKERS``
     environment variable, then 1) selects serial execution for one
     worker and a process pool otherwise.
@@ -848,9 +791,7 @@ def resolve_backend(
     Name- and count-resolved process backends are shared per worker
     count (:func:`shared_process_backend`), so back-to-back estimator
     calls reuse one warm pool; pass a :class:`ProcessPoolBackend`
-    instance instead when a private pool is wanted.  Cluster backends
-    are private per resolution (each owns its worker fleet) — callers
-    should ``shutdown()`` them when done.
+    instance instead when a private pool is wanted.
     """
     if isinstance(backend, ExecutionBackend):
         return backend
@@ -858,13 +799,13 @@ def resolve_backend(
         factory = _BACKEND_FACTORIES.get(backend)
         if factory is None:
             raise SimulationError(
-                f"unknown backend {backend!r}; registered backends: "
+                f"unknown backend {backend!r}; known backends: "
                 f"{', '.join(registered_backends())}"
             )
         if n_workers is None and os.environ.get(WORKERS_ENV_VAR) is not None:
             # A named backend must honor the documented REPRO_WORKERS
-            # fallback too; with the variable unset each backend keeps
-            # its own default (process: cpu_count, cluster: 2).
+            # fallback too; with the variable unset the process backend
+            # keeps its own default (cpu_count).
             n_workers = default_n_workers()
         return factory(n_workers)
     if backend is not None:

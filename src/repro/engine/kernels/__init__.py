@@ -63,8 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: Smallest same-configuration group the ``"auto"`` policy vectorizes.
 #: Below this width the lockstep loop's per-step numpy call overhead
 #: exceeds the scalar loop's per-event cost, so auto falls back; forced
-#: ``"vectorized"`` ignores the floor (useful for equivalence testing
-#: and for cluster workers executing one spec per task).
+#: ``"vectorized"`` ignores the floor (useful for equivalence testing).
 AUTO_MIN_BATCH = 16
 
 _SCALAR = ScalarKernel()

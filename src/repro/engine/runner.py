@@ -98,19 +98,13 @@ class MonteCarloRunner:
         is the standard rate-1 Poisson model.
     backend:
         Execution backend: an
-        :class:`~repro.engine.backends.ExecutionBackend`, a registered
-        backend name (``"serial"``, ``"process"``, ``"cluster"``), or
-        ``None`` to choose from ``n_workers`` (falling back to the
-        ``REPRO_WORKERS`` environment variable, then serial).
+        :class:`~repro.engine.backends.ExecutionBackend`, a backend name
+        (``"serial"`` or ``"process"``), or ``None`` to choose from
+        ``n_workers`` (falling back to the ``REPRO_WORKERS`` environment
+        variable, then serial).
     n_workers:
         Worker count used when ``backend`` is ``None`` or a name;
         1 means serial.
-    max_batch_retries:
-        How many times a batch is re-executed after a *retryable*
-        backend failure (e.g. the cluster backend losing its whole
-        fleet mid-batch).  Replicate streams are functions of the specs
-        alone, so a retried batch is bit-identical to an undisturbed
-        one.  Deterministic failures never retry.
     kernel:
         Simulation-kernel request stamped on every spec (``"auto"``,
         ``"scalar"`` or ``"vectorized"`` — see
@@ -131,20 +125,14 @@ class MonteCarloRunner:
         clock_factory: "Callable[[np.random.Generator], object] | None" = None,
         backend: "ExecutionBackend | str | None" = None,
         n_workers: "int | None" = None,
-        max_batch_retries: int = 1,
         kernel: "str | None" = None,
     ) -> None:
-        if max_batch_retries < 0:
-            raise SimulationError(
-                f"max_batch_retries must be >= 0, got {max_batch_retries}"
-            )
         self.graph = graph
         self.algorithm_factory = algorithm_factory
         self.initial_values = initial_values
         self.seed = seed
         self.clock_factory = clock_factory
         self.backend = resolve_backend(backend, n_workers=n_workers)
-        self.max_batch_retries = max_batch_retries
         self.kernel = (
             default_kernel() if kernel is None else normalize_kernel(kernel)
         )
@@ -241,9 +229,7 @@ class MonteCarloRunner:
     def run(self, n_replicates: int, **run_kwargs: object) -> list[RunResult]:
         """Execute ``n_replicates`` independent runs; kwargs go to ``run``."""
         specs = self.build_specs(n_replicates, **run_kwargs)
-        results = execute_with_retry(
-            self.backend, specs, max_retries=self.max_batch_retries
-        )
+        results = execute_with_retry(self.backend, specs)
         if len(results) != len(specs):
             raise SimulationError(
                 f"backend {self.backend.name!r} returned {len(results)} "

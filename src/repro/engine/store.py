@@ -37,10 +37,6 @@ store identical bytes.  A corrupt database file raises
 :class:`~repro.errors.StoreError` with recovery guidance instead of a
 bare ``sqlite3`` traceback (the store is a pure cache of recomputable
 results, so deleting it is always safe).
-
-The thin HTTP service in :mod:`repro.engine.service` puts submit → poll
-→ fetch endpoints in front of this store, driving one long-lived
-execution backend.
 """
 
 from __future__ import annotations
@@ -78,8 +74,10 @@ STORE_SCHEMA = "repro-store/v1"
 #: ``--store`` / ``--db`` flags override it).
 STORE_ENV_VAR = "REPRO_STORE"
 
-#: Run row lifecycle.  ``queued`` and ``running`` exist for service
-#: visibility; dedup treats anything non-``done`` as "not yet a hit".
+#: Run row lifecycle.  A sweep claims its row as ``queued`` and flips it
+#: to ``running`` before computing, so an in-flight sweep shows in
+#: ``store list`` and is spared by ``store gc --keep-incomplete``; dedup
+#: treats anything non-``done`` as "not yet a hit".
 RUN_STATUSES = ("queued", "running", "done", "failed")
 
 
@@ -211,7 +209,7 @@ class StoredRun:
     total_replicates: "int | None"
 
     def to_dict(self) -> dict:
-        """Plain-dict view (service/CLI JSON)."""
+        """Plain-dict view (CLI output)."""
         return {
             "run_id": self.run_id,
             "fingerprint": self.fingerprint,
@@ -396,7 +394,7 @@ class ResultsStore:
                 )
 
     def mark_running(self, run_id: str) -> None:
-        """Flip a queued row to ``running`` (service/poll visibility)."""
+        """Flip a queued row to ``running`` (``store list`` visibility)."""
         self._update_status(run_id, "running")
 
     def fail(self, run_id: str, message: str) -> None:
@@ -575,7 +573,7 @@ class ResultsStore:
 
         Always removes ``failed`` rows; ``include_incomplete`` also
         removes ``queued``/``running`` leftovers (safe only when no
-        service or sweep is mid-flight against this store);
+        sweep is mid-flight against this store);
         ``older_than_days`` additionally expires ``done`` rows created
         before the cutoff.  The file is compacted afterwards.
         """
@@ -664,7 +662,6 @@ def run_sweep_cached(
     n_workers: "int | None" = None,
     checkpoint_path: "str | Path | None" = None,
     share_state: bool = True,
-    max_round_retries: int = 1,
     kernel: "str | None" = None,
     code_version: "str | None | object" = ...,
 ) -> StoreOutcome:
@@ -702,7 +699,6 @@ def run_sweep_cached(
         n_workers=n_workers,
         checkpoint_path=checkpoint_path,
         share_state=share_state,
-        max_round_retries=max_round_retries,
         kernel=kernel,
     )
     try:

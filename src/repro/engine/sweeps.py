@@ -49,7 +49,7 @@ shipping on or off (``share_state=False`` restores inline pickling).
 portably; :class:`SweepRunner` writes an atomic (tmp + fsync + rename)
 checkpoint after every round carrying the settled points *and* each
 pending configuration's sample prefix, so a sweep resumes byte-
-identically even after the coordinator itself crashes mid-sweep — a
+identically even after the process running it crashes mid-sweep — a
 torn or corrupt checkpoint is rejected with a clear :class:`SweepError`.
 """
 
@@ -739,8 +739,8 @@ class SweepRunner:
         sample prefix; an existing file resumes the sweep — settled
         configurations are skipped outright, pending ones reschedule
         from their checkpointed prefix — and the resumed run's artifact
-        is byte-identical to an uninterrupted one, even after a
-        coordinator crash mid-round.
+        is byte-identical to an uninterrupted one, even after a crash
+        mid-round.
     keep_run_results:
         Retain each settled configuration's raw :class:`RunResult` list
         (trimmed to the settled prefix) in :attr:`run_results` — the
@@ -753,15 +753,6 @@ class SweepRunner:
         Purely a transport choice: results are bit-identical either way
         (the determinism suite pins this), so disable it only to measure
         the shipping itself.
-    max_round_retries:
-        How many times one round's batch is re-executed after a
-        *retryable* backend failure (exception with a truthy
-        ``retryable`` attribute — the cluster backend raises one when
-        its whole fleet is lost mid-batch but can be rebuilt).  Samples
-        are only consumed from complete batches and every replicate's
-        stream is a function of its spec, so a retried round is
-        bit-identical to an undisturbed one; ``stats["round_retries"]``
-        counts them.
     kernel:
         Simulation-kernel request stamped on every replicate spec
         (``"auto"``, ``"scalar"`` or ``"vectorized"`` — see
@@ -784,13 +775,8 @@ class SweepRunner:
         checkpoint_path: "str | Path | None" = None,
         keep_run_results: bool = False,
         share_state: bool = True,
-        max_round_retries: int = 1,
         kernel: "str | None" = None,
     ) -> None:
-        if max_round_retries < 0:
-            raise SweepError(
-                f"max_round_retries must be >= 0, got {max_round_retries}"
-            )
         self.spec = spec
         self.seed = seed
         self.budget = budget if budget is not None else ReplicateBudget.fixed(8)
@@ -801,7 +787,6 @@ class SweepRunner:
         )
         self.keep_run_results = keep_run_results
         self.share_state = share_state
-        self.max_round_retries = max_round_retries
         #: Raw results per settled point index (when ``keep_run_results``).
         self.run_results: "dict[int, list[RunResult]]" = {}
         #: Scheduling telemetry from the last :meth:`run` (wall-clock
@@ -894,9 +879,9 @@ class SweepRunner:
     ) -> None:
         """Atomically persist settled points plus pending samples.
 
-        Written after *every* round, so a coordinator crash loses at
-        most the round in flight: resume restores each pending point's
-        sample prefix and reschedules from there, reproducing the
+        Written after *every* round, so a crash loses at most the round
+        in flight: resume restores each pending point's sample prefix
+        and reschedules from there, reproducing the
         uninterrupted run byte-for-byte (every sample is a pure function
         of (point, replicate index), and the stopping rule's verdict is
         a deterministic function of each sample prefix).
@@ -997,10 +982,6 @@ class SweepRunner:
             self.run_results[state.point.index] = state.run_results[:n_used]
         return result
 
-    def _count_round_retry(self, exc: Exception) -> None:
-        """Telemetry hook for :func:`execute_with_retry`."""
-        self.stats["round_retries"] += 1
-
     def _warn_explicit_demotions(self, states: "Sequence[_PointState]") -> None:
         """Warn once per sweep when forced ``vectorized`` points demote.
 
@@ -1058,7 +1039,6 @@ class SweepRunner:
             "replicates_scheduled": 0,
             "points_resumed": len(done),
             "replicates_resumed": sum(len(s) for s in partial.values()),
-            "round_retries": 0,
         }
         # Kernel-engagement counters are cumulative on the backend (it
         # may be shared across sweeps); snapshotting lets this run's
@@ -1123,8 +1103,6 @@ class SweepRunner:
                 self.backend,
                 batch,
                 shared_state=shared_state if self.share_state else None,
-                max_retries=self.max_round_retries,
-                on_retry=self._count_round_retry,
             )
             if len(results) != len(batch):
                 raise SweepError(
@@ -1150,8 +1128,8 @@ class SweepRunner:
                 else:
                     done[state.point.index] = self._settle(state, decision)
             pending = still_pending
-            # Every round, not just on settlement: a coordinator crash
-            # then loses at most the round in flight (crash-safe resume).
+            # Every round, not just on settlement: a crash then loses at
+            # most the round in flight (crash-safe resume).
             self._write_checkpoint(done, pending)
         # Surface which simulation kernel actually executed this sweep's
         # replicates (fast-path verification: a benchmark claiming
@@ -1184,7 +1162,6 @@ def run_sweep(
     n_workers: "int | None" = None,
     checkpoint_path: "str | Path | None" = None,
     share_state: bool = True,
-    max_round_retries: int = 1,
     kernel: "str | None" = None,
 ) -> SweepResult:
     """One-shot convenience wrapper around :class:`SweepRunner`."""
@@ -1196,6 +1173,5 @@ def run_sweep(
         n_workers=n_workers,
         checkpoint_path=checkpoint_path,
         share_state=share_state,
-        max_round_retries=max_round_retries,
         kernel=kernel,
     ).run()

@@ -64,32 +64,6 @@ class SweepError(SimulationError):
     """A parameter sweep was specified or resumed incorrectly."""
 
 
-class ClusterError(SimulationError):
-    """The cluster coordinator or one of its workers failed.
-
-    ``retryable`` distinguishes transient faults (every worker died
-    mid-batch but the fleet can be rebuilt — re-executing the same specs
-    yields bit-identical results) from deterministic ones (a spec that
-    keeps crashing whichever worker runs it).  The engine's round-level
-    retry only re-runs a batch when it is set.
-    """
-
-    def __init__(self, message: str, *, retryable: bool = False) -> None:
-        self.retryable = retryable
-        super().__init__(message)
-
-
-class ClusterAuthError(ClusterError):
-    """A peer failed the cluster's HMAC handshake.
-
-    Never retryable: retrying with the same (wrong or missing) token
-    would fail identically, so workers exit instead of reconnecting.
-    """
-
-    def __init__(self, message: str) -> None:
-        super().__init__(message, retryable=False)
-
-
 class AnalysisError(ReproError):
     """An analysis routine received data it cannot process."""
 

@@ -29,17 +29,6 @@ All grid experiments are declared as sweeps — E1/E2/E5/E10 run through
 the same scheduler the E1/E2/E5/E10 reports aggregate::
 
     python -m repro.experiments.cli sweep E10 --scale smoke --workers 2
-
-Run a sweep on the fault-tolerant cluster backend (2 locally spawned
-TCP workers; byte-identical artifacts, even under worker crashes — see
-:mod:`repro.engine.cluster` and docs/sweeps.md)::
-
-    python -m repro.experiments.cli sweep E3 --backend cluster --workers 2
-
-Attach a worker to a running coordinator (same machine or another
-host)::
-
-    python -m repro.experiments.cli worker --connect 192.0.2.10:7733
 """
 
 from __future__ import annotations
@@ -50,14 +39,12 @@ import sys
 
 from repro.engine.backends import (
     WORKERS_ENV_VAR,
-    ExecutionBackend,
     default_n_workers,
     registered_backends,
     scoped_shared_backends,
 )
 from repro.engine.kernels import KERNEL_CHOICES, KERNEL_ENV_VAR, default_kernel
 from repro.engine.store import STORE_ENV_VAR, ResultsStore, run_sweep_cached
-from repro.engine.wire import AUTH_TOKEN_ENV_VAR
 from repro.engine.sweeps import ReplicateBudget, SweepRunner
 from repro.errors import ReproError, SimulationError, StoreError
 from repro.experiments.harness import SCALES
@@ -148,9 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=registered_backends(),
         default=None,
         help="execution backend for the configuration x replicate fan-out "
-        "(default: chosen from --workers); 'cluster' spawns --workers "
-        "local TCP workers and tolerates their failure — results are "
-        "byte-identical across all backends for the same seed",
+        "(default: chosen from --workers); results are byte-identical "
+        "across backends for the same seed",
     )
     sweep.add_argument(
         "--workers",
@@ -232,85 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of shipping it once per worker (measurement/debugging "
         "only; results are bit-identical either way)",
     )
-    sweep.add_argument(
-        "--auth-token",
-        default=None,
-        metavar="TOKEN",
-        help="cluster backend only: shared secret for the worker HMAC "
-        f"handshake (default: ${AUTH_TOKEN_ENV_VAR}); workers attaching "
-        "with a different token are rejected before any payload is "
-        "deserialized",
-    )
-    sweep.add_argument(
-        "--worker-fault",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help="cluster backend only (testing/chaos): arm the Nth spawned "
-        "worker with a fault plan (repeatable; comma-separated tokens "
-        "die-after:N, drop-after:N, disconnect-after:N, drain-after:N, "
-        "slow-start:SECONDS, duplicate-results, slow:SECONDS)",
-    )
-
-    worker = subparsers.add_parser(
-        "worker",
-        help="attach a cluster worker process to a running coordinator",
-    )
-    worker.add_argument(
-        "--connect",
-        required=True,
-        metavar="HOST:PORT",
-        help="the coordinator's address (ClusterBackend prints/exposes it "
-        "via its .address property)",
-    )
-    worker.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="liveness heartbeat period (must be well under the "
-        "coordinator's heartbeat timeout)",
-    )
-    worker.add_argument(
-        "--auth-token",
-        default=None,
-        metavar="TOKEN",
-        help="shared secret for the coordinator HMAC handshake (default: "
-        f"${AUTH_TOKEN_ENV_VAR}; prefer the environment variable — argv "
-        "is visible in `ps`)",
-    )
-    worker.add_argument(
-        "--drain-after",
-        type=int,
-        default=None,
-        metavar="N",
-        help="detach gracefully after N results (finish the in-flight "
-        "replicate, deliver it, say goodbye); SIGTERM drains the same way",
-    )
-    worker.add_argument(
-        "--max-reconnects",
-        type=int,
-        default=5,
-        metavar="N",
-        help="consecutive reconnect attempts after a lost connection "
-        "before giving up (backoff uses decorrelated jitter)",
-    )
-    worker.add_argument(
-        "--reconnect-backoff",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="base delay seeding the reconnect backoff",
-    )
-    worker.add_argument(
-        "--fault",
-        default=None,
-        metavar="SPEC",
-        help="fault-injection plan (testing/chaos only): comma-separated "
-        "die-after:N, drop-after:N, disconnect-after:N, drain-after:N, "
-        "slow-start:SECONDS, duplicate-results, slow:SECONDS",
-    )
-
     store = subparsers.add_parser(
         "store",
         help="inspect and maintain the persistent results store",
@@ -349,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     store_gc.add_argument(
         "--keep-incomplete",
         action="store_true",
-        help="leave queued/running rows alone (use while a service or "
-        "sweep is mid-flight against this store)",
+        help="leave queued/running rows alone (use while a sweep is "
+        "mid-flight against this store)",
     )
     store_export = store_sub.add_parser(
         "export", help="write a run's stored bytes to a JSON file"
@@ -358,49 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     store_export.add_argument("run_id", help="run id (see `store list`)")
     store_export.add_argument(
         "--out", required=True, metavar="PATH", help="output JSON path"
-    )
-
-    serve = subparsers.add_parser(
-        "serve",
-        help="HTTP sweep service: submit -> run_id, poll status, fetch "
-        "results (content-addressed dedup via the results store)",
-    )
-    serve.add_argument(
-        "--store",
-        default=None,
-        metavar="DB",
-        help=f"store database (default: ${STORE_ENV_VAR})",
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7734)
-    serve.add_argument(
-        "--backend",
-        choices=registered_backends(),
-        default=None,
-        help="the long-lived execution backend computations run on; "
-        "'cluster' keeps a persistent TCP worker fleet warm across "
-        "submissions",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker count for the service's backend",
-    )
-    serve.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default=None,
-        help="default simulation kernel for computed sweeps",
-    )
-    serve.add_argument(
-        "--for-seconds",
-        type=float,
-        default=None,
-        metavar="S",
-        help="serve for S seconds then exit cleanly (smoke tests; "
-        "default: serve until interrupted)",
     )
 
     kernel = subparsers.add_parser(
@@ -486,9 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _sweep_budget(args) -> ReplicateBudget:
     """Resolve the budget flags (fixed wins; adaptive flags overlay the
-    scale default) — the flag-shaped face of
-    :func:`~repro.experiments.specs_sweeps.resolve_sweep_budget`,
-    which the HTTP service shares."""
+    scale default) through
+    :func:`~repro.experiments.specs_sweeps.resolve_sweep_budget`."""
     return resolve_sweep_budget(
         args.scale,
         replicates=args.replicates,
@@ -496,31 +359,6 @@ def _sweep_budget(args) -> ReplicateBudget:
         min_replicates=args.min_replicates,
         max_replicates=args.max_replicates,
         round_size=args.round_size,
-    )
-
-
-def _resolve_sweep_backend(args) -> "object | str | None":
-    """Map the sweep CLI's cluster knobs onto a backend argument.
-
-    The plain named backends go through the registry untouched; the
-    cluster-only flags (--auth-token, --worker-fault) require
-    constructing the ClusterBackend directly.
-    """
-    if args.backend != "cluster":
-        if args.auth_token is not None or args.worker_fault:
-            raise SimulationError(
-                "--auth-token/--worker-fault only apply to --backend cluster"
-            )
-        return args.backend
-    from repro.engine.cluster import ClusterBackend
-
-    n_workers = args.workers
-    if n_workers is None and os.environ.get(WORKERS_ENV_VAR):
-        n_workers = default_n_workers()
-    return ClusterBackend(
-        n_workers,
-        auth_token=args.auth_token,
-        worker_faults=args.worker_fault or None,
     )
 
 
@@ -546,52 +384,37 @@ def _run_sweep_command(args) -> int:
         else None
     )
     cache_hit = False
-    runner = None
     with scoped_shared_backends():
         # Backend resolution must happen inside the scope: it registers
         # the shared worker pool, and only pools created inside the
         # block are released on exit.
-        backend = _resolve_sweep_backend(args)
-        try:
-            if store is not None:
-                outcome = run_sweep_cached(
-                    spec,
-                    store=store,
-                    seed=args.seed,
-                    budget=budget,
-                    backend=backend,
-                    n_workers=args.workers,
-                    checkpoint_path=args.checkpoint,
-                    share_state=not args.no_shared_state,
-                    kernel=args.kernel,
-                )
-                result, stats = outcome.result, outcome.stats
-                cache_hit = outcome.cache_hit
-            else:
-                runner = SweepRunner(
-                    spec,
-                    seed=args.seed,
-                    budget=budget,
-                    backend=backend,
-                    n_workers=args.workers,
-                    checkpoint_path=args.checkpoint,
-                    share_state=not args.no_shared_state,
-                    kernel=args.kernel,
-                )
-                result = runner.run()
-                stats = runner.stats
-        finally:
-            # Backends owning external resources (the cluster backend's
-            # worker fleet and listener) release them here; serial and
-            # the scoped shared process pools make this a no-op.  On the
-            # store path only a constructed instance needs releasing —
-            # named backends resolve inside run_sweep_cached's runner
-            # and the scope exit reclaims any shared pool, while a
-            # cache hit never touches a backend at all.
-            if isinstance(backend, ExecutionBackend):
-                backend.shutdown()
-            elif runner is not None:
-                runner.backend.shutdown()
+        if store is not None:
+            outcome = run_sweep_cached(
+                spec,
+                store=store,
+                seed=args.seed,
+                budget=budget,
+                backend=args.backend,
+                n_workers=args.workers,
+                checkpoint_path=args.checkpoint,
+                share_state=not args.no_shared_state,
+                kernel=args.kernel,
+            )
+            result, stats = outcome.result, outcome.stats
+            cache_hit = outcome.cache_hit
+        else:
+            runner = SweepRunner(
+                spec,
+                seed=args.seed,
+                budget=budget,
+                backend=args.backend,
+                n_workers=args.workers,
+                checkpoint_path=args.checkpoint,
+                share_state=not args.no_shared_state,
+                kernel=args.kernel,
+            )
+            result = runner.run()
+            stats = runner.stats
     print(render_sweep_table(result).render())
     print()
     if cache_hit:
@@ -676,58 +499,16 @@ def _run_verify_claims_command(args) -> int:
     return 0 if bundle["passed"] else 1
 
 
-def _run_worker_command(args) -> int:
-    from repro.engine.cluster import run_worker
-
-    host, _, port_text = args.connect.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        port = -1
-    if not host or not 0 < port < 65536:
-        print(
-            f"--connect expects HOST:PORT, got {args.connect!r}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.heartbeat_interval <= 0:
-        print(
-            f"--heartbeat-interval must be positive, got {args.heartbeat_interval}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.drain_after is not None and args.drain_after < 1:
-        print(
-            f"--drain-after must be >= 1, got {args.drain_after}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.max_reconnects < 0:
-        print(
-            f"--max-reconnects must be >= 0, got {args.max_reconnects}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.reconnect_backoff <= 0:
-        print(
-            f"--reconnect-backoff must be positive, got {args.reconnect_backoff}",
-            file=sys.stderr,
-        )
-        return 2
-    return run_worker(
-        host,
-        port,
-        fault=args.fault,
-        heartbeat_interval=args.heartbeat_interval,
-        auth_token=args.auth_token,
-        drain_after=args.drain_after,
-        max_reconnects=args.max_reconnects,
-        reconnect_backoff=args.reconnect_backoff,
-    )
-
-
 def _run_store_command(args) -> int:
-    store = ResultsStore(_store_db_path(args.db))
+    # Inspection never creates a database: a mistyped path would
+    # otherwise look like an empty store.  `sweep --store` creates one.
+    path = _store_db_path(args.db)
+    if not os.path.exists(path):
+        raise StoreError(
+            f"no results store at {path}; check --db or ${STORE_ENV_VAR} "
+            "(`sweep --store` creates a new store)"
+        )
+    store = ResultsStore(path)
     if args.store_command == "list":
         runs = store.runs(sweep_name=args.sweep, status=args.status)
         if not runs:
@@ -830,48 +611,6 @@ def _run_kernel_command(args) -> int:
     return 0
 
 
-def _run_serve_command(args) -> int:
-    import time as _time
-
-    from repro.engine.service import SweepService
-
-    store = ResultsStore(_store_db_path(args.store))
-    with scoped_shared_backends():
-        backend = _resolve_serve_backend(args)
-        service = SweepService(
-            store,
-            backend=backend,
-            n_workers=args.workers,
-            host=args.host,
-            port=args.port,
-            kernel=args.kernel,
-        )
-        service.start()
-        try:
-            print(f"serving sweeps on {service.url} (store: {store.path})")
-            sys.stdout.flush()
-            if args.for_seconds is not None:
-                _time.sleep(args.for_seconds)
-            else:
-                while True:
-                    _time.sleep(3600)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            service.shutdown()
-    return 0
-
-
-def _resolve_serve_backend(args) -> "object | str | None":
-    """The serve command's backend knob — cluster spawns a persistent
-    local fleet sized by --workers; other names go through the registry."""
-    if args.backend != "cluster":
-        return args.backend
-    from repro.engine.cluster import ClusterBackend
-
-    return ClusterBackend(args.workers)
-
-
 def main(argv: "list[str] | None" = None) -> int:
     """CLI main; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -882,13 +621,6 @@ def main(argv: "list[str] | None" = None) -> int:
             sweepable = " [sweepable]" if experiment_id in SWEEPS else ""
             print(f"{experiment_id}: {summary}{sweepable}")
         return 0
-
-    if args.command == "worker":
-        try:
-            return _run_worker_command(args)
-        except ReproError as exc:
-            print(exc, file=sys.stderr)
-            return 2
 
     if args.command == "store":
         # Dispatched before the --workers guard: the store namespace has
@@ -911,13 +643,6 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.workers is not None and args.workers < 1:
         print(f"--workers must be positive, got {args.workers}", file=sys.stderr)
         return 2
-
-    if args.command == "serve":
-        try:
-            return _run_serve_command(args)
-        except ReproError as exc:
-            print(exc, file=sys.stderr)
-            return 2
 
     if args.command == "verify-claims":
         try:

@@ -604,7 +604,7 @@ def resolve_sweep_budget(
     max_replicates: "int | None" = None,
     round_size: "int | None" = None,
 ) -> ReplicateBudget:
-    """Budget resolution shared by the CLI flags and the HTTP service.
+    """Budget resolution behind the ``sweep`` command's budget flags.
 
     A ``replicates`` value wins outright (fixed budget, adaptive rule
     disabled); otherwise any adaptive overrides overlay the
@@ -628,24 +628,6 @@ def resolve_sweep_budget(
     merged = base.to_dict()
     merged.update(overrides)
     return ReplicateBudget.from_dict(merged)
-
-
-def axis_values_from_payload(values: Any) -> list:
-    """Validate a JSON axis override (service submissions) into values.
-
-    Accepts a non-empty list of scalars (the same literal forms the
-    grid tables use); anything else is an :class:`ExperimentError`.
-    """
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ExperimentError(
-            f"axis override must be a non-empty list of values, got {values!r}"
-        )
-    for value in values:
-        if not isinstance(value, (int, float, str)) or isinstance(value, bool):
-            raise ExperimentError(
-                f"axis values must be numbers or strings, got {value!r}"
-            )
-    return list(values)
 
 
 def axis_override_from_text(text: str) -> "tuple[str, list]":

@@ -69,32 +69,23 @@ def rng() -> np.random.Generator:
     params=[
         "serial",
         pytest.param("process", marks=pytest.mark.slow),
-        pytest.param("cluster", marks=pytest.mark.slow),
     ]
 )
 def backend(request):
     """One :class:`ExecutionBackend` per flavor — the cross-backend matrix.
 
-    Tests taking this fixture run once per backend (serial, 2-worker
-    process pool, 2-worker TCP cluster), which is what makes
-    serial/process/cluster bit-identity one parametrized suite instead
-    of three copy-pasted ones.  Out-of-process params carry the ``slow``
-    marker; teardown releases worker processes and sockets.
+    Tests taking this fixture run once per backend (serial and a 2-worker
+    process pool), which is what makes serial/process bit-identity one
+    parametrized suite instead of two copy-pasted ones.  The process
+    param carries the ``slow`` marker; teardown releases its workers.
     """
     if request.param == "serial":
         from repro.engine.backends import SerialBackend
 
         yield SerialBackend()
         return
-    if request.param == "process":
-        from repro.engine.backends import ProcessPoolBackend
+    from repro.engine.backends import ProcessPoolBackend
 
-        pool = ProcessPoolBackend(2)
-        yield pool
-        pool.shutdown()
-        return
-    from repro.engine.cluster import ClusterBackend
-
-    cluster = ClusterBackend(2)
-    yield cluster
-    cluster.shutdown()
+    pool = ProcessPoolBackend(2)
+    yield pool
+    pool.shutdown()

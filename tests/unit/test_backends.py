@@ -64,10 +64,9 @@ def assert_results_identical(first, second):
 
 
 class TestDeterminismAcrossBackends:
-    """The cross-backend matrix: each test runs once per registered
-    backend flavor (serial / process pool / TCP cluster) through the
-    shared ``backend`` fixture and must reproduce the serial reference
-    bit-for-bit."""
+    """The cross-backend matrix: each test runs once per backend flavor
+    (serial / process pool) through the shared ``backend`` fixture and
+    must reproduce the serial reference bit-for-bit."""
 
     def test_backend_matches_serial_exactly(self, backend):
         """The headline guarantee: same seed => bit-identical results."""
@@ -145,6 +144,12 @@ class TestWorkerCountIndependence:
         # A post-shutdown run transparently builds a fresh pool.
         assert_results_identical(first, runner.run(3, max_events=100))
         backend.shutdown()
+
+    def test_empty_batch_short_circuits(self):
+        backend = ProcessPoolBackend(2)
+        assert backend.execute([]) == []
+        assert backend.execute_shared([], {}) == []
+        assert backend._pool is None  # no batch ran, so no pool spawned
 
 
 class TestFailureModelsThroughBackends:
@@ -317,13 +322,12 @@ class TestBackendSelection:
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
         process = resolve_backend("process")
         assert process.n_workers == 3
-        cluster = resolve_backend("cluster")
-        try:
-            assert cluster.n_workers == 3
-        finally:
-            cluster.shutdown()
         # An explicit count still wins over the environment.
         assert resolve_backend("process", n_workers=2).n_workers == 2
+
+    def test_unknown_name_lists_registered(self):
+        with pytest.raises(SimulationError, match="process"):
+            resolve_backend("threads")
 
     def test_env_var_selects_workers(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "5")

@@ -327,7 +327,7 @@ class TestBitIdentity:
 
     def test_single_replicate_forced_vectorized(self, k6):
         """Forced 'vectorized' takes the lockstep path at any width,
-        including the cluster worker's one-spec-per-task shape."""
+        including a one-spec batch."""
         workload = GaussianWorkload(6)
         scalar = runner_for(k6, VanillaGossip, workload, kernel="scalar")
         vector = runner_for(k6, VanillaGossip, workload, kernel="vectorized")

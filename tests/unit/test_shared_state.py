@@ -144,7 +144,7 @@ class TestSlimSpecs:
             execute_replicate(slim)
 
     def test_execute_shared_matches_inline_execute(self, backend):
-        """One matrix over serial/process/cluster: slim specs resolved
+        """One matrix over serial/process: slim specs resolved
         against the shared mapping must equal inlined execution."""
         runner = make_runner()
         inline = runner.build_specs(4, max_events=300)

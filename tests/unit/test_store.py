@@ -418,11 +418,48 @@ class TestStoreCli:
         monkeypatch.delenv("REPRO_STORE", raising=False)
         assert main(["store", "list"]) == 2
         assert "REPRO_STORE" in capsys.readouterr().err
+        # A mistyped path is refused, not created as an empty store.
+        typo = tmp_path / "typo.sqlite"
+        for action in (["list"], ["show", "x"], ["gc"],
+                       ["export", "x", "--out", str(tmp_path / "x.json")]):
+            assert main(["store", "--db", str(typo), *action]) == 2
+            err = capsys.readouterr().err
+            assert str(typo) in err and "REPRO_STORE" in err
+            assert not typo.exists()
 
     def test_unknown_run_id_exits_two(self, tmp_path, capsys):
         main, db, _ = self._seed_store(tmp_path)
         assert main(["store", "--db", str(db), "show", "missing-ffffffffffff"]) == 2
         assert "store list" in capsys.readouterr().err
+
+
+class TestStoreCliSweep:
+    def test_second_cli_run_is_a_cache_hit_with_identical_artifacts(
+        self, tmp_path, capsys
+    ):
+        from repro.experiments.cli import main
+
+        db = tmp_path / "store.sqlite"
+        out_first = tmp_path / "first"
+        out_second = tmp_path / "second"
+        argv = [
+            "sweep", "E3", "--scale", "smoke",
+            "--axis", "n=12", "--axis", "algorithm=vanilla",
+            "--replicates", "2", "--store", str(db),
+        ]
+        assert main(argv + ["--out", str(out_first)]) == 0
+        first = capsys.readouterr().out
+        assert "store: recorded run" in first
+
+        assert main(argv + ["--out", str(out_second)]) == 0
+        second = capsys.readouterr().out
+        assert "cache hit" in second
+        assert "zero simulation work" in second
+
+        (artifact_a,) = sorted(out_first.glob("sweep_e3_*.json"))
+        (artifact_b,) = sorted(out_second.glob("sweep_e3_*.json"))
+        assert artifact_a.name == artifact_b.name
+        assert artifact_a.read_bytes() == artifact_b.read_bytes()
 
 
 class TestTypedQueries:

@@ -32,7 +32,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from repro.errors import AnalysisError
 from repro.graphs.graph import Graph
@@ -49,6 +48,8 @@ class VanillaMeanDynamics:
     def __init__(self, graph: Graph) -> None:
         if graph.n_vertices < 2:
             raise AnalysisError("dynamics need at least two vertices")
+        import scipy.linalg  # deferred: it dominates the package import time
+
         self.graph = graph
         laplacian = laplacian_matrix(graph)
         eigenvalues, eigenvectors = scipy.linalg.eigh(laplacian)

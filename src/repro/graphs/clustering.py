@@ -17,6 +17,9 @@ import numpy as np
 from repro.errors import PartitionError
 from repro.graphs.graph import Graph
 
+_NO_EDGES = np.empty(0, dtype=np.int64)
+_NO_EDGES.setflags(write=False)
+
 
 class ClusterPartition:
     """A partition of a graph's vertices into ``k >= 2`` labelled clusters.
@@ -27,7 +30,7 @@ class ClusterPartition:
     """
 
     def __init__(self, graph: Graph, labels: Sequence[int]) -> None:
-        label_array = np.asarray(labels, dtype=np.int64)
+        label_array = np.array(labels, dtype=np.int64)  # own copy: frozen below
         if label_array.shape != (graph.n_vertices,):
             raise PartitionError(
                 f"labels must have length {graph.n_vertices}, "
@@ -48,22 +51,28 @@ class ClusterPartition:
         self._members = [
             np.flatnonzero(label_array == c) for c in range(self._k)
         ]
-        cut_edges: "dict[tuple[int, int], list[int]]" = {}
-        internal: "list[list[int]]" = [[] for _ in range(self._k)]
-        for edge_id, (u, v) in enumerate(graph.edges):
-            cu, cv = int(label_array[u]), int(label_array[v])
-            if cu == cv:
-                internal[cu].append(edge_id)
-            else:
-                key = (cu, cv) if cu < cv else (cv, cu)
-                cut_edges.setdefault(key, []).append(edge_id)
-        self._cut_edges = {
-            key: np.asarray(ids, dtype=np.int64)
-            for key, ids in sorted(cut_edges.items())
-        }
+        end_labels = label_array[graph.edges]
+        low = end_labels.min(axis=1)
+        high = end_labels.max(axis=1)
+        internal = low == high
         self._internal_edges = [
-            np.asarray(ids, dtype=np.int64) for ids in internal
+            np.flatnonzero(internal & (low == c)) for c in range(self._k)
         ]
+        pair_code = np.where(internal, -1, low * self._k + high)
+        self._cut_edges = {
+            (int(code) // self._k, int(code) % self._k): np.flatnonzero(
+                pair_code == code
+            )
+            for code in np.unique(pair_code[~internal])
+        }
+        for array in (
+            *self._members,
+            *self._internal_edges,
+            *self._cut_edges.values(),
+        ):
+            array.setflags(write=False)
+        self._subgraphs: "dict[int, tuple[Graph, np.ndarray]]" = {}
+        self._clusters_connected: "list[bool] | None" = None
 
     # ------------------------------------------------------------------
 
@@ -83,7 +92,7 @@ class ClusterPartition:
         return self._labels
 
     def members(self, cluster: int) -> np.ndarray:
-        """Sorted vertex array of one cluster."""
+        """Sorted, read-only vertex array of one cluster."""
         self._check_cluster(cluster)
         return self._members[cluster]
 
@@ -92,7 +101,7 @@ class ClusterPartition:
         return len(self.members(cluster))
 
     def internal_edge_ids(self, cluster: int) -> np.ndarray:
-        """Edge ids internal to one cluster."""
+        """Read-only edge ids internal to one cluster."""
         self._check_cluster(cluster)
         return self._internal_edges[cluster]
 
@@ -102,13 +111,13 @@ class ClusterPartition:
         return list(self._cut_edges)
 
     def cut_edge_ids(self, a: int, b: int) -> np.ndarray:
-        """Edge ids between clusters ``a`` and ``b`` (may be empty)."""
+        """Read-only edge ids between clusters ``a`` and ``b`` (may be empty)."""
         self._check_cluster(a)
         self._check_cluster(b)
         if a == b:
             raise PartitionError("a cut needs two distinct clusters")
         key = (a, b) if a < b else (b, a)
-        return self._cut_edges.get(key, np.empty(0, dtype=np.int64))
+        return self._cut_edges.get(key, _NO_EDGES)
 
     @property
     def total_cut_size(self) -> int:
@@ -116,12 +125,25 @@ class ClusterPartition:
         return int(sum(len(ids) for ids in self._cut_edges.values()))
 
     def subgraph(self, cluster: int) -> "tuple[Graph, np.ndarray]":
-        """Induced subgraph of one cluster (graph, vertex map)."""
-        return self._graph.subgraph(self.members(cluster))
+        """Induced subgraph of one cluster (graph, read-only vertex map).
+
+        Computed once per cluster: the partition is immutable.
+        """
+        try:
+            return self._subgraphs[cluster]
+        except KeyError:
+            subgraph, mapping = self._graph.subgraph(self.members(cluster))
+            mapping.setflags(write=False)
+            self._subgraphs[cluster] = (subgraph, mapping)
+            return subgraph, mapping
 
     def clusters_connected(self) -> "list[bool]":
-        """Whether each cluster is internally connected."""
-        return [self.subgraph(c)[0].is_connected() for c in range(self._k)]
+        """Whether each cluster is internally connected (computed once)."""
+        if self._clusters_connected is None:
+            self._clusters_connected = [
+                self.subgraph(c)[0].is_connected() for c in range(self._k)
+            ]
+        return list(self._clusters_connected)
 
     def require_connected_clusters(self) -> None:
         """Raise unless every cluster is internally connected."""
@@ -139,6 +161,18 @@ class ClusterPartition:
             return True
         quotient = Graph(self._k, self.adjacent_cluster_pairs)
         return quotient.is_connected()
+
+    def __getstate__(self) -> dict:
+        # Pickle only the defining state, never the caches, so a pickle's
+        # bytes do not depend on whether a cache was filled.
+        state = dict(self.__dict__)
+        del state["_subgraphs"], state["_clusters_connected"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._subgraphs = {}
+        self._clusters_connected = None
 
     def _check_cluster(self, cluster: int) -> None:
         if not 0 <= cluster < self._k:

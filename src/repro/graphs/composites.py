@@ -8,12 +8,27 @@ so experiments never have to re-derive the planted cut.
 The headline instance is :func:`dumbbell_graph`: two cliques joined by a
 single edge, for which the paper proves convex algorithms need ``Omega(n)``
 while Algorithm A needs ``O(log n)``.
+
+Caching contract: the seeded builders (:func:`two_cliques`,
+:func:`two_expanders`, :func:`two_grids`, :func:`two_erdos_renyi`, and
+:func:`dumbbell_graph` through :func:`two_cliques`) are memoized per
+process on the builder, its arguments in canonical (bound, defaults
+applied, type-aware) form and an integer seed, in a bounded LRU of
+:data:`MEMO_SIZE` entries per builder.  A :class:`numpy.random.Generator`
+seed bypasses the memo (its stream position is state the key cannot
+capture), as does ``seed=None`` where it means fresh entropy.  A memo hit
+returns the very same :class:`BridgedPair`; that is safe because every
+part of it is immutable (the graph and partition arrays and the bridge
+ids are read-only, and derived facts such as partition subgraphs are
+caches of pure functions), so a warm memo never changes a result.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -28,6 +43,9 @@ from repro.graphs.topologies import (
 )
 from repro.util.rng import as_generator
 
+#: Entries kept per memoized builder (see the module docstring).
+MEMO_SIZE = 256
+
 
 @dataclass(frozen=True)
 class BridgedPair:
@@ -40,8 +58,9 @@ class BridgedPair:
     partition:
         The planted partition ``(V1, V2)``; its cut is exactly the bridges.
     bridge_edge_ids:
-        Edge ids (in ``graph``) of the bridges, sorted.  The first entry is
-        the conventional choice for Algorithm A's designated edge ``e_c``.
+        Read-only edge ids (in ``graph``) of the bridges, sorted.  The first
+        entry is the conventional choice for Algorithm A's designated edge
+        ``e_c``.
     """
 
     graph: Graph
@@ -78,8 +97,6 @@ def join_graphs(
     if not bridges:
         raise GraphError("at least one bridge edge is required to join graphs")
     offset = first.n_vertices
-    edges = [tuple(map(int, e)) for e in first.edges]
-    edges.extend((int(u) + offset, int(v) + offset) for u, v in second.edges)
     seen = set()
     for u, v in bridges:
         if not 0 <= u < first.n_vertices:
@@ -89,8 +106,13 @@ def join_graphs(
         if (u, v) in seen:
             raise GraphError(f"duplicate bridge ({u}, {v})")
         seen.add((u, v))
-        edges.append((int(u), int(v) + offset))
-    graph = Graph(first.n_vertices + second.n_vertices, edges)
+    bridge_rows = np.array(
+        [(int(u), int(v) + offset) for u, v in bridges], dtype=np.int64
+    )
+    graph = Graph(
+        first.n_vertices + second.n_vertices,
+        np.concatenate([first.edges, second.edges + offset, bridge_rows]),
+    )
     side = np.concatenate(
         [
             np.zeros(first.n_vertices, dtype=np.int64),
@@ -99,9 +121,42 @@ def join_graphs(
     )
     partition = Partition(graph, side)
     bridge_ids = np.array(
-        sorted(graph.edge_id(u, v + offset) for u, v in bridges), dtype=np.int64
+        sorted(graph.edge_id(u, v) for u, v in bridge_rows.tolist()), dtype=np.int64
     )
+    bridge_ids.setflags(write=False)
     return BridgedPair(graph=graph, partition=partition, bridge_edge_ids=bridge_ids)
+
+
+def _memoized(*, fixed_without_seed: bool) -> Callable[[Callable], Callable]:
+    """Memoize a seeded builder per process (contract: module docstring).
+
+    ``fixed_without_seed`` says whether ``seed=None`` gives a fixed
+    instance (deterministic bridges) rather than fresh entropy.
+    """
+
+    def decorate(builder: Callable[..., BridgedPair]) -> Callable[..., BridgedPair]:
+        signature = inspect.signature(builder)
+        cached = functools.lru_cache(maxsize=MEMO_SIZE, typed=True)(builder)
+
+        @functools.wraps(builder)
+        def memoized(*args: Any, **kwargs: Any) -> BridgedPair:
+            try:
+                bound = signature.bind(*args, **kwargs)
+            except TypeError:
+                return builder(*args, **kwargs)
+            bound.apply_defaults()
+            seed = bound.arguments["seed"]
+            if isinstance(seed, (int, np.integer)) or (
+                seed is None and fixed_without_seed
+            ):
+                return cached(**bound.arguments)
+            return builder(*args, **kwargs)
+
+        memoized.cache_clear = cached.cache_clear  # type: ignore[attr-defined]
+        memoized.cache_info = cached.cache_info  # type: ignore[attr-defined]
+        return memoized
+
+    return decorate
 
 
 def _spread_bridges(
@@ -130,6 +185,7 @@ def _spread_bridges(
     return sorted(chosen)
 
 
+@_memoized(fixed_without_seed=True)
 def two_cliques(
     n1: int,
     n2: "int | None" = None,
@@ -160,6 +216,7 @@ def dumbbell_graph(n: int) -> BridgedPair:
     return two_cliques(n // 2, n // 2, n_bridges=1)
 
 
+@_memoized(fixed_without_seed=False)
 def two_expanders(
     n1: int,
     n2: "int | None" = None,
@@ -184,6 +241,7 @@ def two_expanders(
     return join_graphs(g1, g2, bridges)
 
 
+@_memoized(fixed_without_seed=True)
 def two_grids(
     rows: int,
     cols: int,
@@ -202,6 +260,7 @@ def two_grids(
     return join_graphs(g, grid_graph(rows, cols), bridges)
 
 
+@_memoized(fixed_without_seed=False)
 def two_erdos_renyi(
     n1: int,
     n2: "int | None" = None,

@@ -62,22 +62,55 @@ class Graph:
         self._edges = edge_array
         self._edges.setflags(write=False)
 
-        self._degrees = np.zeros(self._n, dtype=np.int64)
-        if edge_array.size:
-            np.add.at(self._degrees, edge_array[:, 0], 1)
-            np.add.at(self._degrees, edge_array[:, 1], 1)
+        self._degrees = np.bincount(edge_array.ravel(), minlength=self._n).astype(
+            np.int64, copy=False
+        )
         self._degrees.setflags(write=False)
 
         self._build_csr()
-        self._edge_lookup = {
-            (int(u), int(v)): i for i, (u, v) in enumerate(edge_array)
-        }
+        self._edge_lookup = dict(
+            zip(zip(*edge_array.T.tolist()), range(len(edge_array)))
+        )
 
     # ------------------------------------------------------------------
     # construction helpers
     # ------------------------------------------------------------------
 
     def _normalize_edges(self, edges: Iterable[Sequence[int]]) -> np.ndarray:
+        """Sorted ``(m, 2)`` rows ``u < v``, validated.
+
+        Integer ``(m, 2)`` input is normalized with array operations; any
+        other input, or input that breaks a rule, goes through
+        :meth:`_normalize_edges_checked`, so every error keeps the type and
+        message of the per-edge check (which also decides which bad pair
+        is reported first).
+        """
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        try:
+            pairs = np.asarray(edges)
+        except (ValueError, TypeError):
+            return self._normalize_edges_checked(edges)
+        if pairs.dtype.kind not in "iu" or pairs.ndim != 2 or pairs.shape[1] != 2:
+            return self._normalize_edges_checked(edges)
+        pairs = pairs.astype(np.int64, copy=False)
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        order = np.lexsort((hi, lo))
+        array = np.stack([lo[order], hi[order]], axis=1)
+        if array.size and (
+            int(array[0, 0]) < 0
+            or int(hi.max()) >= self._n
+            or np.any(lo == hi)
+            or np.any((array[1:] == array[:-1]).all(axis=1))
+        ):
+            return self._normalize_edges_checked(edges)
+        return array
+
+    def _normalize_edges_checked(
+        self, edges: Iterable[Sequence[int]]
+    ) -> np.ndarray:
+        """The per-edge normalization: raises on the first bad pair."""
         rows: list[tuple[int, int]] = []
         for pair in edges:
             try:
@@ -105,23 +138,17 @@ class Graph:
         return array
 
     def _build_csr(self) -> None:
+        """CSR adjacency; each vertex lists its edges in edge-id order."""
         m = len(self._edges)
         indptr = np.zeros(self._n + 1, dtype=np.int64)
         indptr[1:] = np.cumsum(self._degrees)
-        adj_vertices = np.empty(2 * m, dtype=np.int64)
-        adj_edges = np.empty(2 * m, dtype=np.int64)
-        cursor = indptr[:-1].copy()
-        for edge_id in range(m):
-            u, v = self._edges[edge_id]
-            adj_vertices[cursor[u]] = v
-            adj_edges[cursor[u]] = edge_id
-            cursor[u] += 1
-            adj_vertices[cursor[v]] = u
-            adj_edges[cursor[v]] = edge_id
-            cursor[v] += 1
+        source = np.concatenate([self._edges[:, 0], self._edges[:, 1]])
+        target = np.concatenate([self._edges[:, 1], self._edges[:, 0]])
+        edge_ids = np.tile(np.arange(m, dtype=np.int64), 2)
+        order = np.lexsort((edge_ids, source))
         self._indptr = indptr
-        self._adj_vertices = adj_vertices
-        self._adj_edges = adj_edges
+        self._adj_vertices = target[order]
+        self._adj_edges = edge_ids[order]
         for array in (self._indptr, self._adj_vertices, self._adj_edges):
             array.setflags(write=False)
 
@@ -232,18 +259,23 @@ class Graph:
         Returns ``(subgraph, mapping)`` where ``mapping[i]`` is the original
         vertex id of subgraph vertex ``i``.  Vertices must be distinct.
         """
-        vertex_array = np.asarray(sorted(int(v) for v in vertices), dtype=np.int64)
-        if len(np.unique(vertex_array)) != len(vertex_array):
+        vertex_array = np.asarray(vertices)
+        if vertex_array.dtype.kind == "i" and vertex_array.ndim == 1:
+            vertex_array = np.sort(vertex_array.astype(np.int64))
+        else:
+            vertex_array = np.asarray(
+                sorted(int(v) for v in vertices), dtype=np.int64
+            )
+        if np.any(vertex_array[1:] == vertex_array[:-1]):
             raise VertexError(int(vertex_array[0]), self._n)
-        for v in vertex_array:
-            self._check_vertex(int(v))
-        new_id = {int(old): new for new, old in enumerate(vertex_array)}
-        sub_edges = [
-            (new_id[int(u)], new_id[int(v)])
-            for u, v in self._edges
-            if int(u) in new_id and int(v) in new_id
-        ]
-        return Graph(len(vertex_array), sub_edges), vertex_array
+        out_of_range = (vertex_array < 0) | (vertex_array >= self._n)
+        if np.any(out_of_range):
+            raise VertexError(int(vertex_array[np.argmax(out_of_range)]), self._n)
+        new_id = np.full(self._n, -1, dtype=np.int64)
+        new_id[vertex_array] = np.arange(len(vertex_array), dtype=np.int64)
+        relabelled = new_id[self._edges]
+        inside = (relabelled >= 0).all(axis=1)
+        return Graph(len(vertex_array), relabelled[inside]), vertex_array
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense ``(n, n)`` 0/1 adjacency matrix (float64).

@@ -39,11 +39,15 @@ class Partition:
         "_cut_edge_ids",
         "_internal_edge_ids_1",
         "_internal_edge_ids_2",
+        "_subgraphs",
         "_sides_connected",
     )
 
+    #: Slots holding caches of derived facts, left out of pickles.
+    _CACHE_SLOTS = ("_subgraphs", "_sides_connected")
+
     def __init__(self, graph: Graph, side: Sequence[int]) -> None:
-        labels = np.asarray(side, dtype=np.int64)
+        labels = np.array(side, dtype=np.int64)  # own copy: frozen below
         if labels.shape != (graph.n_vertices,):
             raise PartitionError(
                 f"side must have length {graph.n_vertices}, got {labels.shape}"
@@ -201,12 +205,19 @@ class Partition:
         """Induced subgraphs ``(G1, map1, G2, map2)``.
 
         ``map1[i]`` is the original vertex id of ``G1``'s vertex ``i`` (and
-        likewise ``map2``).  These are the graphs whose vanilla averaging
-        times ``Tvan(G1)``, ``Tvan(G2)`` parameterize Algorithm A.
+        likewise ``map2``; both read-only).  These are the graphs whose
+        vanilla averaging times ``Tvan(G1)``, ``Tvan(G2)`` parameterize
+        Algorithm A.  Computed once, like :meth:`sides_connected`.
         """
-        g1, map1 = self._graph.subgraph(self._vertices_1)
-        g2, map2 = self._graph.subgraph(self._vertices_2)
-        return g1, map1, g2, map2
+        try:
+            return self._subgraphs
+        except AttributeError:
+            g1, map1 = self._graph.subgraph(self._vertices_1)
+            g2, map2 = self._graph.subgraph(self._vertices_2)
+            map1.setflags(write=False)
+            map2.setflags(write=False)
+            self._subgraphs = (g1, map1, g2, map2)
+            return self._subgraphs
 
     def sides_connected(self) -> tuple[bool, bool]:
         """Whether each induced side is internally connected.
@@ -245,12 +256,12 @@ class Partition:
         return out
 
     def __getstate__(self) -> "tuple[None, dict]":
-        # Pickle only the defining state, never the connectivity cache, so
-        # a pickle's bytes do not depend on whether the cache was filled.
+        # Pickle only the defining state, never the caches, so a pickle's
+        # bytes do not depend on whether a cache was filled.
         return None, {
             name: getattr(self, name)
             for name in Partition.__slots__
-            if name != "_sides_connected"
+            if name not in Partition._CACHE_SLOTS
         }
 
     def __repr__(self) -> str:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from repro.errors import DisconnectedGraphError, GraphError
 from repro.graphs.graph import Graph
@@ -53,6 +52,8 @@ def laplacian_spectrum(graph: Graph) -> np.ndarray:
     """All Laplacian eigenvalues in ascending order (cached, read-only)."""
     if graph.n_vertices == 0:
         raise GraphError("spectrum of the empty graph is undefined")
+    import scipy.linalg  # deferred: it dominates the package import time
+
     values = scipy.linalg.eigvalsh(laplacian_matrix(graph))
     values.setflags(write=False)
     return values
@@ -73,6 +74,8 @@ def spectral_gap(graph: Graph) -> float:
 
 @lru_cache(maxsize=256)
 def _fiedler_cached(graph: Graph) -> np.ndarray:
+    import scipy.linalg  # deferred: it dominates the package import time
+
     matrix = laplacian_matrix(graph)
     _, vectors = scipy.linalg.eigh(matrix, subset_by_index=(0, 1))
     vector = vectors[:, 1].copy()

@@ -450,15 +450,16 @@ class TestCheckpointing:
 
     def test_partial_round_resume_is_byte_identical(self, tmp_path):
         """Crash-safe resume: kill the sweep after its first round, then
-        resume from the checkpoint.  The pending points' sample prefixes
-        are restored and the final result matches the uninterrupted run
-        byte for byte."""
+        resume from the checkpoint on a fresh backend.  The pending
+        points' sample prefixes are restored, and both the final result and
+        its saved artifact match the uninterrupted run byte for byte."""
         path = tmp_path / "ckpt.json"
         spec = small_spec()
         budget = ReplicateBudget.adaptive(
             target_ci=0.05, min_replicates=3, max_replicates=9, round_size=3
         )
         uninterrupted = SweepRunner(spec, seed=5, budget=budget).run()
+        uninterrupted_path = uninterrupted.save(tmp_path / "uninterrupted.json")
 
         class CrashAfterOneRound(CountingBackend):
             def execute(self, specs):
@@ -480,61 +481,8 @@ class TestCheckpointing:
         resumed = runner.run()
         assert runner.stats["replicates_resumed"] > 0
         assert sweep_json(resumed) == sweep_json(uninterrupted)
-
-
-class _CrashingSerialBackend(SerialBackend):
-    """Raises after the first completed batch — an in-process stand-in
-    for the process running the sweep dying between rounds."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.batches_completed = 0
-
-    def execute(self, specs):
-        # execute_shared resolves in-process and lands here too.
-        if self.batches_completed >= 1:
-            raise RuntimeError("simulated coordinator crash")
-        out = super().execute(specs)
-        self.batches_completed += 1
-        return out
-
-
-class TestCoordinatorCrashResume:
-    RESUME_BUDGET = ReplicateBudget.adaptive(
-        target_ci=0.05, min_replicates=3, max_replicates=9, round_size=3
-    )
-
-    def test_crash_then_checkpoint_resume_is_byte_identical(self, tmp_path):
-        """Crash the sweep after round 1; resume from the checkpoint on a
-        fresh backend.  The resumed run restores the interrupted points'
-        sample prefixes and the saved artifact is byte-identical to an
-        uninterrupted serial run's."""
-        spec = small_spec()
-        serial_path = (
-            SweepRunner(spec, seed=11, budget=self.RESUME_BUDGET)
-            .run()
-            .save(tmp_path / "serial.json")
-        )
-        ckpt = tmp_path / "ckpt.json"
-        with pytest.raises(RuntimeError, match="simulated coordinator crash"):
-            SweepRunner(
-                spec,
-                seed=11,
-                budget=self.RESUME_BUDGET,
-                backend=_CrashingSerialBackend(),
-                checkpoint_path=ckpt,
-            ).run()
-        assert ckpt.exists()  # round 1 was checkpointed before the crash
-        runner = SweepRunner(
-            spec,
-            seed=11,
-            budget=self.RESUME_BUDGET,
-            backend=SerialBackend(),
-            checkpoint_path=ckpt,
-        )
-        resumed_path = runner.run().save(tmp_path / "resumed.json")
-        assert runner.stats["replicates_resumed"] > 0
-        assert resumed_path.read_bytes() == serial_path.read_bytes()
+        resumed_path = resumed.save(tmp_path / "resumed.json")
+        assert resumed_path.read_bytes() == uninterrupted_path.read_bytes()
 
 
 class TestSpecValidation:

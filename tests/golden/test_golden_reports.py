@@ -11,7 +11,9 @@ Regenerate after an intentional rendering change with::
 
     PYTHONPATH=src python tests/golden/test_golden_reports.py --regen
 
-and review the diff like any other source change.
+and review the diff like any other source change.  The same command
+rewrites ``reports_smoke.json``: the digest of every E1-E14 smoke
+report, which ``test_experiment_smoke_passes`` compares against.
 """
 
 from __future__ import annotations
@@ -122,6 +124,26 @@ def _regenerate() -> None:
         path = GOLDEN_DIR / "claims_smoke.txt"
         path.write_text(_render_claims(store), encoding="utf-8")
         print(f"wrote {path}")
+    _regenerate_smoke_digests()
+
+
+def _regenerate_smoke_digests() -> None:
+    import json
+    import sys
+
+    from repro.experiments.specs import EXPERIMENTS, run_experiment
+
+    sys.path.insert(0, str(GOLDEN_DIR.parent / "integration"))
+    from test_experiments_and_cli import SMOKE_DIGESTS, smoke_digest
+
+    digests = {
+        experiment_id: smoke_digest(run_experiment(experiment_id, scale="smoke"))
+        for experiment_id in sorted(EXPERIMENTS)
+    }
+    SMOKE_DIGESTS.write_text(
+        json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {SMOKE_DIGESTS}")
 
 
 if __name__ == "__main__":

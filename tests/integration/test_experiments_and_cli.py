@@ -2,10 +2,39 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import math
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.cli import main
 from repro.experiments.specs import EXPERIMENTS, run_experiment
+
+#: sha256 of every smoke report; regenerate with
+#: ``PYTHONPATH=src python tests/golden/test_golden_reports.py --regen``.
+SMOKE_DIGESTS = (
+    Path(__file__).resolve().parents[1] / "golden" / "reports_smoke.json"
+)
+
+
+def _canonical(value):
+    """JSON-ready copy with floats at 12 significant digits, so the digest
+    is about the report, not about the last bits of an eigensolver."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}") if math.isfinite(value) else repr(value)
+    if isinstance(value, dict):
+        return {str(key): _canonical(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(item) for item in value]
+    return value
+
+
+def smoke_digest(report) -> str:
+    """sha256 of the report's canonical ``to_dict()`` JSON."""
+    text = json.dumps(_canonical(report.to_dict()), sort_keys=True, default=str)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
@@ -19,6 +48,12 @@ def test_experiment_smoke_passes(experiment_id):
     assert report.tables, "every experiment must regenerate a table"
     rendered = report.render()
     assert report.experiment_id in rendered
+    pinned = json.loads(SMOKE_DIGESTS.read_text(encoding="utf-8"))
+    assert smoke_digest(report) == pinned[experiment_id], (
+        f"{experiment_id}'s smoke report drifted from {SMOKE_DIGESTS.name}; "
+        "if the change is intentional, regenerate with "
+        "`PYTHONPATH=src python tests/golden/test_golden_reports.py --regen`"
+    )
 
 
 def test_cli_runs_single_experiment(tmp_path, capsys):

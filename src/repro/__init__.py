@@ -62,7 +62,6 @@ from repro.graphs import (
     BridgedPair,
     Graph,
     Partition,
-    bridged_pair,
     complete_graph,
     dumbbell_graph,
     fiedler_sweep_cut,
@@ -122,7 +121,6 @@ __all__ = [
     "BridgedPair",
     "Graph",
     "Partition",
-    "bridged_pair",
     "complete_graph",
     "dumbbell_graph",
     "fiedler_sweep_cut",

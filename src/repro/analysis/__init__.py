@@ -3,7 +3,6 @@
 from repro.analysis.potential import PotentialDecomposition, decompose
 from repro.analysis.operators import (
     EpochOperatorSample,
-    expected_update_matrix,
     operator_norm,
     sample_epoch_operators,
 )
@@ -15,23 +14,11 @@ from repro.analysis.random_walk import (
     theorem3_tail_bound,
     time_to_stay_below,
 )
-from repro.analysis.dominance import (
-    couple_with_dominating_walk,
-    empirical_cdf,
-    stochastically_dominates,
-)
+from repro.analysis.dominance import couple_with_dominating_walk
 from repro.analysis.bounds import (
     dumbbell_predictions,
     theorem1_lower_bound,
     theorem2_upper_bound,
-)
-from repro.analysis.theory import (
-    exact_algebraic_connectivity,
-    expected_variance_decay_rate,
-)
-from repro.analysis.spectral_dynamics import (
-    VanillaMeanDynamics,
-    monte_carlo_expected_variance,
 )
 from repro.analysis.epoch_trace import EpochRecord, epoch_potential_trace
 
@@ -39,7 +26,6 @@ __all__ = [
     "PotentialDecomposition",
     "decompose",
     "EpochOperatorSample",
-    "expected_update_matrix",
     "operator_norm",
     "sample_epoch_operators",
     "dominating_walk_increments",
@@ -49,15 +35,9 @@ __all__ = [
     "theorem3_tail_bound",
     "time_to_stay_below",
     "couple_with_dominating_walk",
-    "empirical_cdf",
-    "stochastically_dominates",
     "dumbbell_predictions",
     "theorem1_lower_bound",
     "theorem2_upper_bound",
-    "exact_algebraic_connectivity",
-    "expected_variance_decay_rate",
-    "VanillaMeanDynamics",
-    "monte_carlo_expected_variance",
     "EpochRecord",
     "epoch_potential_trace",
 ]

@@ -12,9 +12,7 @@ Given those, draw one uniform ``U`` per epoch: if the increment lands in
 its own lower half (``U < 1/2``) pair it with the dominating step
 ``-(3/2) log n``; otherwise pair it with ``+log n``.  Both coordinates
 are marginally correct and the domination holds pathwise.  This module
-implements exactly that construction on *sampled* increments, plus a
-quantile-based check of first-order stochastic dominance between sample
-sets.
+implements exactly that construction on *sampled* increments.
 """
 
 from __future__ import annotations
@@ -25,39 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import AnalysisError
-
-
-def empirical_cdf(samples: "Sequence[float]"):
-    """Return ``F(t) = P[X <= t]`` built from samples (right-continuous)."""
-    array = np.sort(np.asarray(samples, dtype=np.float64))
-    if array.size == 0:
-        raise AnalysisError("cannot build a CDF from zero samples")
-
-    def cdf(t: float) -> float:
-        return float(np.searchsorted(array, t, side="right")) / array.size
-
-    return cdf
-
-
-def stochastically_dominates(
-    upper: "Sequence[float]",
-    lower: "Sequence[float]",
-    *,
-    tolerance: float = 0.0,
-) -> bool:
-    """First-order dominance check: ``upper >= lower`` at every quantile.
-
-    Compares the two sample sets on a shared quantile grid; ``tolerance``
-    absorbs Monte-Carlo noise (in distribution units).
-    """
-    a = np.asarray(upper, dtype=np.float64)
-    b = np.asarray(lower, dtype=np.float64)
-    if a.size == 0 or b.size == 0:
-        raise AnalysisError("dominance check needs non-empty sample sets")
-    grid = np.linspace(0.0, 1.0, 101)
-    qa = np.quantile(a, grid)
-    qb = np.quantile(b, grid)
-    return bool(np.all(qa >= qb - tolerance))
 
 
 def couple_with_dominating_walk(

@@ -31,27 +31,8 @@ import numpy as np
 from repro.algorithms.nonconvex import NonConvexSparseCutGossip
 from repro.clocks.poisson import PoissonEdgeClocks
 from repro.errors import AnalysisError
-from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
 from repro.util.rng import as_generator
-
-
-def expected_update_matrix(graph: Graph) -> np.ndarray:
-    """Mean per-tick update matrix of vanilla gossip on ``graph``.
-
-    A uniformly random edge ``(i, j)`` averages its endpoints; the
-    expectation over the edge choice is
-
-        ``W = I - (1 / 2m) * L``
-
-    whose second-largest eigenvalue controls per-tick variance decay in
-    the discrete chain (Boyd et al.'s object of study).
-    """
-    if graph.n_edges == 0:
-        raise AnalysisError("expected update matrix needs at least one edge")
-    from repro.graphs.spectral import laplacian_matrix
-
-    return np.eye(graph.n_vertices) - laplacian_matrix(graph) / (2.0 * graph.n_edges)
 
 
 def operator_norm(matrix: np.ndarray, *, zero_mean_subspace: bool = False) -> float:
@@ -164,15 +145,6 @@ def sample_epoch_operators(
             if len(samples) >= n_epochs:
                 break
     return samples
-
-
-def log_norm_walk(samples: "list[EpochOperatorSample]") -> np.ndarray:
-    """The paper's ``W_k = sum_i log ||A_i||`` (zero-mean-subspace norms).
-
-    Index 0 is ``W_0 = 0``; index ``k`` sums the first ``k`` samples.
-    """
-    increments = np.array([s.log_norm_zero_mean for s in samples], dtype=np.float64)
-    return np.concatenate([[0.0], np.cumsum(increments)])
 
 
 def lemma1_empirical_probability(

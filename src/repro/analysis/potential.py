@@ -99,21 +99,3 @@ def decompose(
         imbalance=imbalance,
         variance=variance,
     )
-
-
-def sigma_probe(partition: Partition):
-    """A recorder probe returning ``sigma`` (for :class:`TraceRecorder`)."""
-
-    def probe(values: np.ndarray) -> float:
-        return decompose(values, partition).sigma
-
-    return probe
-
-
-def imbalance_probe(partition: Partition):
-    """A recorder probe returning the paper's ``mu`` potential."""
-
-    def probe(values: np.ndarray) -> float:
-        return decompose(values, partition).paper_mu
-
-    return probe

@@ -1,9 +1,7 @@
 """Edge-clock processes: Poisson clocks (the paper's model) and test schedules."""
 
-from repro.clocks.events import EdgeTick
 from repro.clocks.poisson import PoissonClockFactory, PoissonEdgeClocks
-from repro.clocks.schedule import RoundRobinSchedule, ScriptedSchedule
-from repro.clocks.counters import TickCounters
+from repro.clocks.schedule import ScriptedSchedule
 from repro.clocks.unreliable import (
     FailingEdgeClocks,
     FailingPoissonClockFactory,
@@ -12,12 +10,9 @@ from repro.clocks.unreliable import (
 )
 
 __all__ = [
-    "EdgeTick",
     "PoissonClockFactory",
     "PoissonEdgeClocks",
-    "RoundRobinSchedule",
     "ScriptedSchedule",
-    "TickCounters",
     "FailingEdgeClocks",
     "FailingPoissonClockFactory",
     "LossyClocks",

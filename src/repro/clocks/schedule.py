@@ -12,38 +12,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
-class RoundRobinSchedule:
-    """Edges tick cyclically ``0, 1, ..., m-1, 0, ...`` at a fixed spacing.
-
-    The default spacing ``1 / m`` mimics the mean event rate of rate-1
-    Poisson clocks (one tick per edge per unit time on average).
-    """
-
-    def __init__(self, n_edges: int, *, spacing: "float | None" = None) -> None:
-        if n_edges < 1:
-            raise ValueError(f"n_edges must be positive, got {n_edges}")
-        if spacing is not None and spacing <= 0:
-            raise ValueError(f"spacing must be positive, got {spacing}")
-        self._n_edges = int(n_edges)
-        self._spacing = spacing if spacing is not None else 1.0 / n_edges
-        self._tick_index = 0
-
-    @property
-    def n_edges(self) -> int:
-        """Number of edges in the cycle."""
-        return self._n_edges
-
-    def next_batch(self, max_events: int) -> "tuple[np.ndarray, np.ndarray]":
-        """Next ``max_events`` ticks of the cycle."""
-        if max_events < 1:
-            raise ValueError(f"max_events must be positive, got {max_events}")
-        indices = self._tick_index + np.arange(max_events, dtype=np.int64)
-        self._tick_index += max_events
-        times = (indices + 1).astype(np.float64) * self._spacing
-        edge_ids = indices % self._n_edges
-        return times, edge_ids
-
-
 class ScriptedSchedule:
     """An explicit finite tick sequence.
 

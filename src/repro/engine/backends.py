@@ -408,11 +408,6 @@ def _install_worker_shared_state(blob: bytes) -> None:
     _WORKER_SHARED_STATE.update(pickle.loads(blob))
 
 
-def _execute_shared_replicate(spec: ReplicateSpec) -> RunResult:
-    """Worker task for slim specs: resolve refs, then run as usual."""
-    return execute_replicate(resolve_replicate_spec(spec, _WORKER_SHARED_STATE))
-
-
 def _execute_spec_chunk(
     specs: "list[ReplicateSpec]",
 ) -> "tuple[list[RunResult], dict[str, int]]":

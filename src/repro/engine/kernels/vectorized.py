@@ -75,7 +75,6 @@ from repro.clocks.unreliable import (
     LossyPoissonClockFactory,
 )
 from repro.engine.kernels.eligibility import (
-    SUPPORTED_RUN_KWARGS as _SUPPORTED_RUN_KWARGS,
     eligibility as _spec_eligibility,
     register_update,
     resolve_update as _resolve_update,

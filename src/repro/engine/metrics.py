@@ -24,11 +24,3 @@ def variance_ratio(
     if initial == 0.0:
         return float("inf") if current > 0 else 0.0
     return current / initial
-
-
-def consensus_error(values: "Sequence[float]", target: float) -> float:
-    """Max absolute deviation from the target average (sup-norm error)."""
-    array = np.asarray(values, dtype=np.float64)
-    if array.size == 0:
-        raise ValueError("consensus error of an empty vector is undefined")
-    return float(np.max(np.abs(array - target)))

@@ -48,18 +48,6 @@ class SimulationError(ReproError):
     """The simulation engine was driven into an invalid state."""
 
 
-class ConvergenceError(SimulationError):
-    """A run failed to converge within its budget.
-
-    Carries the budget that was exhausted so callers can report it.
-    """
-
-    def __init__(self, message: str, *, elapsed_time: float, n_events: int) -> None:
-        self.elapsed_time = elapsed_time
-        self.n_events = n_events
-        super().__init__(message)
-
-
 class SweepError(SimulationError):
     """A parameter sweep was specified or resumed incorrectly."""
 

@@ -1,13 +1,6 @@
 """Experiment harness: workloads, specs E1-E10, reporting, CLI."""
 
-from repro.experiments.workloads import (
-    bimodal_noise,
-    cut_aligned,
-    gaussian,
-    linear_gradient,
-    make_workload,
-    spike,
-)
+from repro.experiments.workloads import bimodal_noise, cut_aligned, spike
 from repro.experiments.harness import (
     ExperimentReport,
     ShapeCheck,
@@ -23,9 +16,6 @@ from repro.experiments.specs_sweeps import (
 __all__ = [
     "bimodal_noise",
     "cut_aligned",
-    "gaussian",
-    "linear_gradient",
-    "make_workload",
     "spike",
     "ExperimentReport",
     "ShapeCheck",

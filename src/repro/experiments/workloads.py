@@ -9,12 +9,9 @@ maximally loads the cut and stands in for the definition's ``sup_x``.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
 from repro.util.rng import as_generator
 
@@ -30,25 +27,6 @@ def cut_aligned(partition: Partition) -> np.ndarray:
     return values
 
 
-def gaussian(
-    n: int,
-    *,
-    rng: "np.random.Generator | int | None" = None,
-    scale: float = 1.0,
-    zero_mean: bool = True,
-) -> np.ndarray:
-    """I.i.d. normal values (a benign, cut-agnostic workload)."""
-    if n < 1:
-        raise ExperimentError(f"n must be positive, got {n}")
-    if scale <= 0:
-        raise ExperimentError(f"scale must be positive, got {scale}")
-    generator = as_generator(rng)
-    values = generator.normal(0.0, scale, size=n)
-    if zero_mean:
-        values = values - values.mean()
-    return values
-
-
 def spike(n: int, *, vertex: int = 0, zero_mean: bool = True) -> np.ndarray:
     """A single loaded node (the load-balancing "hot spot" scenario)."""
     if n < 1:
@@ -57,16 +35,6 @@ def spike(n: int, *, vertex: int = 0, zero_mean: bool = True) -> np.ndarray:
         raise ExperimentError(f"vertex {vertex} out of range for n={n}")
     values = np.zeros(n, dtype=np.float64)
     values[vertex] = float(n)
-    if zero_mean:
-        values = values - values.mean()
-    return values
-
-
-def linear_gradient(n: int, *, zero_mean: bool = True) -> np.ndarray:
-    """Values proportional to the vertex index (a smooth field)."""
-    if n < 1:
-        raise ExperimentError(f"n must be positive, got {n}")
-    values = np.arange(n, dtype=np.float64)
     if zero_mean:
         values = values - values.mean()
     return values
@@ -89,72 +57,3 @@ def bimodal_noise(
     values = cut_aligned(partition)
     values = values + generator.normal(0.0, noise, size=values.shape)
     return values - values.mean()
-
-
-class FixedWorkload:
-    """Picklable sampler returning the same vector for every replicate."""
-
-    def __init__(self, values: np.ndarray) -> None:
-        self.values = np.asarray(values, dtype=np.float64)
-
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        return self.values
-
-
-class GaussianWorkload:
-    """Picklable sampler: i.i.d. zero-mean normals per replicate."""
-
-    def __init__(self, n: int, *, scale: float = 1.0) -> None:
-        self.n = int(n)
-        self.scale = float(scale)
-
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        return gaussian(self.n, rng=rng, scale=self.scale)
-
-
-class BimodalNoiseWorkload:
-    """Picklable sampler: cut-aligned signal plus fresh noise per replicate."""
-
-    def __init__(self, partition: Partition, *, noise: float = 0.1) -> None:
-        self.partition = partition
-        self.noise = float(noise)
-
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        return bimodal_noise(self.partition, rng=rng, noise=self.noise)
-
-
-def make_workload(
-    name: str,
-    *,
-    graph: Graph,
-    partition: "Partition | None" = None,
-) -> "Callable[[np.random.Generator], np.ndarray]":
-    """Factory: workload name -> per-replicate sampler ``rng -> values``.
-
-    Deterministic workloads ignore the rng; partition-dependent ones
-    require ``partition``.  Names: ``cut_aligned``, ``gaussian``,
-    ``spike``, ``linear_gradient``, ``bimodal_noise``.  Samplers are
-    picklable objects, so they work under process-pool replication
-    (:mod:`repro.engine.backends`) as well as serially.
-    """
-    n = graph.n_vertices
-
-    def need_partition() -> Partition:
-        if partition is None:
-            raise ExperimentError(f"workload {name!r} requires a partition")
-        return partition
-
-    if name == "cut_aligned":
-        return FixedWorkload(cut_aligned(need_partition()))
-    if name == "gaussian":
-        return GaussianWorkload(n)
-    if name == "spike":
-        return FixedWorkload(spike(n))
-    if name == "linear_gradient":
-        return FixedWorkload(linear_gradient(n))
-    if name == "bimodal_noise":
-        return BimodalNoiseWorkload(need_partition())
-    raise ExperimentError(
-        f"unknown workload {name!r}; expected cut_aligned/gaussian/spike/"
-        f"linear_gradient/bimodal_noise"
-    )

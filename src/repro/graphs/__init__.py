@@ -1,29 +1,15 @@
 """Graph substrate: core structure, topologies, partitions, spectra, cuts."""
 
 from repro.graphs.graph import Graph
-from repro.graphs.builders import (
-    graph_from_adjacency_matrix,
-    graph_from_edge_list,
-    relabel_graph,
-)
 from repro.graphs.partition import Partition
 from repro.graphs.topologies import (
-    binary_tree,
     complete_graph,
-    cycle_graph,
     erdos_renyi_graph,
     grid_graph,
-    hypercube_graph,
-    lollipop_graph,
-    path_graph,
-    random_geometric_graph,
     random_regular_graph,
-    star_graph,
-    torus_graph,
 )
 from repro.graphs.composites import (
     BridgedPair,
-    bridged_pair,
     dumbbell_graph,
     join_graphs,
     two_cliques,
@@ -36,52 +22,28 @@ from repro.graphs.spectral import (
     fiedler_vector,
     laplacian_matrix,
     laplacian_spectrum,
-    normalized_laplacian_matrix,
-    spectral_gap,
 )
 from repro.graphs.cuts import (
     CutResult,
     brute_force_min_conductance_cut,
-    conductance_of_side,
     fiedler_sweep_cut,
 )
-from repro.graphs.properties import (
-    connected_components,
-    degree_statistics,
-    diameter,
-    is_connected,
-)
+from repro.graphs.properties import diameter, is_connected
 from repro.graphs.clustering import (
     ClusterPartition,
     chain_of_cliques,
     spectral_clusters,
 )
-from repro.graphs.geometric import (
-    GeometricNetwork,
-    bridged_geometric_pair,
-    random_geometric_network,
-)
+from repro.graphs.geometric import GeometricNetwork, random_geometric_network
 
 __all__ = [
     "Graph",
-    "graph_from_adjacency_matrix",
-    "graph_from_edge_list",
-    "relabel_graph",
     "Partition",
-    "binary_tree",
     "complete_graph",
-    "cycle_graph",
     "erdos_renyi_graph",
     "grid_graph",
-    "hypercube_graph",
-    "lollipop_graph",
-    "path_graph",
-    "random_geometric_graph",
     "random_regular_graph",
-    "star_graph",
-    "torus_graph",
     "BridgedPair",
-    "bridged_pair",
     "dumbbell_graph",
     "join_graphs",
     "two_cliques",
@@ -92,20 +54,14 @@ __all__ = [
     "fiedler_vector",
     "laplacian_matrix",
     "laplacian_spectrum",
-    "normalized_laplacian_matrix",
-    "spectral_gap",
     "CutResult",
     "brute_force_min_conductance_cut",
-    "conductance_of_side",
     "fiedler_sweep_cut",
-    "connected_components",
-    "degree_statistics",
     "diameter",
     "is_connected",
     "ClusterPartition",
     "chain_of_cliques",
     "spectral_clusters",
     "GeometricNetwork",
-    "bridged_geometric_pair",
     "random_geometric_network",
 ]

@@ -1,75 +1,7 @@
-"""Alternate constructors and structural transforms for :class:`Graph`."""
+"""Empty on purpose: the alternate graph constructors that lived here had
+no caller and were removed.
 
-from __future__ import annotations
-
-from typing import Iterable, Sequence
-
-import numpy as np
-
-from repro.errors import GraphError
-from repro.graphs.graph import Graph
-
-
-def graph_from_edge_list(
-    edges: Iterable[Sequence[int]], *, n_vertices: "int | None" = None
-) -> Graph:
-    """Build a graph from an edge list, inferring ``n_vertices`` if omitted.
-
-    When inferring, the vertex count is ``max endpoint + 1`` (an empty edge
-    list with no explicit count yields the empty graph).
-    """
-    edge_rows = [(int(u), int(v)) for u, v in edges]
-    if n_vertices is None:
-        n_vertices = max((max(u, v) for u, v in edge_rows), default=-1) + 1
-    return Graph(n_vertices, edge_rows)
-
-
-def graph_from_adjacency_matrix(matrix: np.ndarray) -> Graph:
-    """Build a graph from a symmetric 0/1 adjacency matrix.
-
-    Raises :class:`GraphError` on non-square, asymmetric, or self-loop
-    carrying matrices.
-    """
-    array = np.asarray(matrix)
-    if array.ndim != 2 or array.shape[0] != array.shape[1]:
-        raise GraphError(f"adjacency matrix must be square, got shape {array.shape}")
-    if not np.array_equal(array, array.T):
-        raise GraphError("adjacency matrix must be symmetric")
-    if np.any(np.diag(array) != 0):
-        raise GraphError("adjacency matrix must have a zero diagonal (no self-loops)")
-    values = np.unique(array)
-    if not np.all(np.isin(values, (0, 1))):
-        raise GraphError("adjacency matrix entries must be 0 or 1")
-    us, vs = np.nonzero(np.triu(array, k=1))
-    return Graph(array.shape[0], np.stack([us, vs], axis=1))
-
-
-def relabel_graph(graph: Graph, mapping: Sequence[int]) -> Graph:
-    """Return a copy of ``graph`` with vertex ``i`` renamed ``mapping[i]``.
-
-    ``mapping`` must be a permutation of ``0..n-1``.
-    """
-    perm = np.asarray(mapping, dtype=np.int64)
-    if perm.shape != (graph.n_vertices,):
-        raise GraphError(
-            f"mapping must have length {graph.n_vertices}, got {perm.shape}"
-        )
-    if not np.array_equal(np.sort(perm), np.arange(graph.n_vertices)):
-        raise GraphError("mapping must be a permutation of 0..n-1")
-    new_edges = perm[graph.edges]
-    return Graph(graph.n_vertices, new_edges)
-
-
-def disjoint_union(first: Graph, second: Graph) -> Graph:
-    """Disjoint union; vertices of ``second`` are shifted by ``first``'s size."""
-    offset = first.n_vertices
-    edges = list(map(tuple, first.edges))
-    edges.extend((int(u) + offset, int(v) + offset) for u, v in second.edges)
-    return Graph(first.n_vertices + second.n_vertices, edges)
-
-
-def add_edges(graph: Graph, new_edges: Iterable[Sequence[int]]) -> Graph:
-    """A new graph equal to ``graph`` plus ``new_edges`` (duplicates rejected)."""
-    edges = list(map(tuple, graph.edges))
-    edges.extend((int(u), int(v)) for u, v in new_edges)
-    return Graph(graph.n_vertices, edges)
+The module remains only because ``perfbench/layers.py`` imports
+``repro.graphs.builders`` by name to wrap its functions.  Delete it once
+perfbench no longer lists it.
+"""

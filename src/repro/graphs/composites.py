@@ -285,47 +285,3 @@ def two_erdos_renyi(
     g2 = erdos_renyi_graph(n2, p2, seed=rng)
     bridges = _spread_bridges(n1, n2, n_bridges, rng)
     return join_graphs(g1, g2, bridges)
-
-
-def bridged_pair(
-    family: str,
-    n1: int,
-    n2: "int | None" = None,
-    *,
-    n_bridges: int = 1,
-    seed: "int | np.random.Generator | None" = None,
-    **family_kwargs: object,
-) -> BridgedPair:
-    """Dispatch to a named sparse-cut family.
-
-    ``family`` is one of ``"clique"``, ``"expander"``, ``"grid"``, ``"er"``.
-    For ``"grid"``, ``n1`` is interpreted as the total side size and is
-    factored into the squarest ``rows x cols``.
-    """
-    builders: dict[str, Callable[..., BridgedPair]] = {
-        "clique": two_cliques,
-        "expander": two_expanders,
-        "er": two_erdos_renyi,
-    }
-    if family == "grid":
-        rows, cols = _squarest_factorization(n1)
-        return two_grids(rows, cols, n_bridges=n_bridges, seed=seed)
-    if family not in builders:
-        raise GraphError(
-            f"unknown family {family!r}; expected one of "
-            f"{sorted(builders) + ['grid']}"
-        )
-    return builders[family](
-        n1, n2, n_bridges=n_bridges, seed=seed, **family_kwargs
-    )
-
-
-def _squarest_factorization(n: int) -> tuple[int, int]:
-    """Factor ``n`` as ``rows * cols`` with the sides as equal as possible."""
-    if n < 1:
-        raise GraphError(f"size must be positive, got {n}")
-    best = (1, n)
-    for rows in range(1, int(n**0.5) + 1):
-        if n % rows == 0:
-            best = (rows, n // rows)
-    return best

@@ -47,12 +47,6 @@ class CutResult:
         }
 
 
-def conductance_of_side(graph: Graph, subset: "np.ndarray | list[int]") -> float:
-    """Conductance of the cut ``(subset, complement)``."""
-    partition = Partition.from_vertex_set(graph, list(subset))
-    return partition.conductance
-
-
 def fiedler_sweep_cut(
     graph: Graph, *, require_connected_sides: bool = False
 ) -> CutResult:

@@ -106,59 +106,3 @@ def random_geometric_network(
         f"could not sample a connected geometric network "
         f"(n={n}, radius={radius:.3f}) in {max_attempts} attempts"
     )
-
-
-def bridged_geometric_pair(
-    n_per_side: int,
-    *,
-    seed: "int | np.random.Generator | None" = None,
-    gap: float = 0.3,
-) -> "tuple[GeometricNetwork, np.ndarray]":
-    """Two geometric clusters in separated strips, bridged where closest.
-
-    Places one cluster in ``x in [0, (1-gap)/2]`` and the other in
-    ``x in [(1+gap)/2, 1]``, connects points within each cluster by the
-    usual radius rule, and adds the single closest cross-strip pair as the
-    bridge.  Returns the network and the side-label array (a geometric
-    realization of the paper's sparse-cut regime).
-    """
-    if n_per_side < 4:
-        raise GraphError(f"need at least 4 vertices per side, got {n_per_side}")
-    if not 0.0 < gap < 0.9:
-        raise GraphError(f"gap must be in (0, 0.9), got {gap}")
-    rng = as_generator(seed)
-    strip_width = (1.0 - gap) / 2.0
-    radius = 2.5 * float(np.sqrt(np.log(n_per_side) / n_per_side)) * strip_width
-
-    for _ in range(200):
-        left = rng.random((n_per_side, 2)) * [strip_width, 1.0]
-        right = rng.random((n_per_side, 2)) * [strip_width, 1.0] + [
-            strip_width + gap,
-            0.0,
-        ]
-        points = np.vstack([left, right])
-        n = 2 * n_per_side
-        deltas = points[:, None, :] - points[None, :, :]
-        distances = np.sqrt(np.sum(deltas**2, axis=-1))
-        close = np.triu(distances < radius, k=1)
-        # Keep only intra-strip edges, then add the closest cross pair.
-        side = np.concatenate(
-            [np.zeros(n_per_side, dtype=np.int64), np.ones(n_per_side, dtype=np.int64)]
-        )
-        same_side = side[:, None] == side[None, :]
-        us, vs = np.nonzero(close & same_side)
-        cross = distances[:n_per_side, n_per_side:]
-        bridge_left, bridge_right = np.unravel_index(
-            int(np.argmin(cross)), cross.shape
-        )
-        edges = list(zip(us.tolist(), vs.tolist()))
-        edges.append((int(bridge_left), int(bridge_right) + n_per_side))
-        graph = Graph(n, edges)
-        left_ok = graph.subgraph(range(n_per_side))[0].is_connected()
-        right_ok = graph.subgraph(range(n_per_side, n))[0].is_connected()
-        if left_ok and right_ok:
-            return GeometricNetwork(graph=graph, positions=points), side
-    raise GraphError(
-        "could not sample internally connected geometric clusters; "
-        "increase n_per_side"
-    )

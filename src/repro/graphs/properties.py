@@ -1,9 +1,8 @@
-"""Structural graph properties: connectivity, components, diameter, degrees."""
+"""Structural graph properties: connectivity, diameter, density."""
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,19 +13,6 @@ from repro.graphs.graph import Graph
 def is_connected(graph: Graph) -> bool:
     """Whether ``graph`` is connected (delegates to the graph itself)."""
     return graph.is_connected()
-
-
-def connected_components(graph: Graph) -> list[np.ndarray]:
-    """Connected components as sorted vertex arrays, largest-vertex order."""
-    seen = np.zeros(graph.n_vertices, dtype=bool)
-    components: list[np.ndarray] = []
-    for start in range(graph.n_vertices):
-        if seen[start]:
-            continue
-        order = graph.bfs_order(start)
-        seen[order] = True
-        components.append(np.sort(order))
-    return components
 
 
 def shortest_path_lengths(graph: Graph, source: int) -> np.ndarray:
@@ -57,38 +43,6 @@ def diameter(graph: Graph) -> int:
             raise DisconnectedGraphError("diameter requires a connected graph")
         best = max(best, int(distances.max()))
     return best
-
-
-@dataclass(frozen=True)
-class DegreeStatistics:
-    """Summary of a graph's degree sequence."""
-
-    minimum: int
-    maximum: int
-    mean: float
-    is_regular: bool
-
-    def to_dict(self) -> dict:
-        """Plain-dict view for serialization."""
-        return {
-            "minimum": self.minimum,
-            "maximum": self.maximum,
-            "mean": self.mean,
-            "is_regular": self.is_regular,
-        }
-
-
-def degree_statistics(graph: Graph) -> DegreeStatistics:
-    """Min/max/mean degree and regularity flag."""
-    if graph.n_vertices == 0:
-        raise ValueError("degree statistics of the empty graph are undefined")
-    degrees = graph.degrees
-    return DegreeStatistics(
-        minimum=int(degrees.min()),
-        maximum=int(degrees.max()),
-        mean=float(degrees.mean()),
-        is_regular=bool(degrees.min() == degrees.max()),
-    )
 
 
 def density(graph: Graph) -> float:

@@ -32,21 +32,6 @@ def laplacian_matrix(graph: Graph) -> np.ndarray:
     return np.diag(graph.degrees.astype(np.float64)) - adjacency
 
 
-def normalized_laplacian_matrix(graph: Graph) -> np.ndarray:
-    """Dense symmetric normalized Laplacian ``I - D^{-1/2} A D^{-1/2}``.
-
-    Vertices of degree zero contribute identity rows (their normalized
-    degree is defined as zero), matching the usual convention.
-    """
-    adjacency = graph.adjacency_matrix()
-    degrees = graph.degrees.astype(np.float64)
-    inv_sqrt = np.zeros_like(degrees)
-    positive = degrees > 0
-    inv_sqrt[positive] = 1.0 / np.sqrt(degrees[positive])
-    scaled = adjacency * inv_sqrt[:, None] * inv_sqrt[None, :]
-    return np.eye(graph.n_vertices) - scaled
-
-
 @lru_cache(maxsize=256)
 def laplacian_spectrum(graph: Graph) -> np.ndarray:
     """All Laplacian eigenvalues in ascending order (cached, read-only)."""
@@ -65,11 +50,6 @@ def algebraic_connectivity(graph: Graph) -> float:
         raise GraphError("algebraic connectivity needs at least two vertices")
     spectrum = laplacian_spectrum(graph)
     return float(max(spectrum[1], 0.0))
-
-
-def spectral_gap(graph: Graph) -> float:
-    """Alias for :func:`algebraic_connectivity` (the gap above zero)."""
-    return algebraic_connectivity(graph)
 
 
 @lru_cache(maxsize=256)

@@ -1,8 +1,7 @@
 """Standard graph families used as building blocks for sparse-cut instances.
 
-Deterministic families (complete, path, cycle, star, grid, torus, hypercube,
-binary tree, lollipop) take only size parameters.  Random families
-(Erdős–Rényi, random-regular, random-geometric) take a seed or generator and
+Deterministic families (complete, grid) take only size parameters.
+Random families (Erdős–Rényi, random-regular) take a seed or generator and
 retry until the sample is connected (bounded number of attempts), because
 every experiment in the paper assumes connected subgraphs.
 """
@@ -10,7 +9,6 @@ every experiment in the paper assumes connected subgraphs.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
@@ -28,26 +26,6 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, itertools.combinations(range(n), 2))
 
 
-def path_graph(n: int) -> Graph:
-    """The path ``P_n`` — the poorest-connected graph, a stress baseline."""
-    _check_size(n, minimum=1)
-    return Graph(n, ((i, i + 1) for i in range(n - 1)))
-
-
-def cycle_graph(n: int) -> Graph:
-    """The cycle ``C_n`` (n >= 3)."""
-    _check_size(n, minimum=3)
-    edges = [(i, i + 1) for i in range(n - 1)]
-    edges.append((n - 1, 0))
-    return Graph(n, edges)
-
-
-def star_graph(n: int) -> Graph:
-    """The star ``S_n``: hub 0 joined to ``n - 1`` leaves (n >= 2)."""
-    _check_size(n, minimum=2)
-    return Graph(n, ((0, i) for i in range(1, n)))
-
-
 def grid_graph(rows: int, cols: int) -> Graph:
     """The ``rows x cols`` 2-D lattice; vertex ``(r, c)`` is ``r * cols + c``."""
     _check_size(rows, minimum=1, name="rows")
@@ -61,63 +39,6 @@ def grid_graph(rows: int, cols: int) -> Graph:
             if r + 1 < rows:
                 edges.append((vertex, vertex + cols))
     return Graph(rows * cols, edges)
-
-
-def torus_graph(rows: int, cols: int) -> Graph:
-    """The 2-D torus (grid with wraparound); needs rows, cols >= 3."""
-    _check_size(rows, minimum=3, name="rows")
-    _check_size(cols, minimum=3, name="cols")
-    edges = set()
-    for r in range(rows):
-        for c in range(cols):
-            vertex = r * cols + c
-            right = r * cols + (c + 1) % cols
-            down = ((r + 1) % rows) * cols + c
-            edges.add(_norm(vertex, right))
-            edges.add(_norm(vertex, down))
-    return Graph(rows * cols, sorted(edges))
-
-
-def hypercube_graph(dimension: int) -> Graph:
-    """The ``dimension``-dimensional Boolean hypercube ``Q_d``."""
-    _check_size(dimension, minimum=1, name="dimension")
-    n = 1 << dimension
-    edges = []
-    for vertex in range(n):
-        for bit in range(dimension):
-            neighbor = vertex ^ (1 << bit)
-            if vertex < neighbor:
-                edges.append((vertex, neighbor))
-    return Graph(n, edges)
-
-
-def binary_tree(depth: int) -> Graph:
-    """Complete binary tree of the given depth (depth 0 = single vertex)."""
-    if depth < 0:
-        raise GraphError(f"depth must be non-negative, got {depth}")
-    n = (1 << (depth + 1)) - 1
-    edges = []
-    for child in range(1, n):
-        edges.append(((child - 1) // 2, child))
-    return Graph(n, edges)
-
-
-def lollipop_graph(clique_size: int, path_length: int) -> Graph:
-    """``K_m`` with a pendant path of ``path_length`` extra vertices.
-
-    A classical bad case for diffusion: the clique mixes instantly but the
-    tail drains slowly.  Useful as a contrast to the dumbbell.
-    """
-    _check_size(clique_size, minimum=1, name="clique_size")
-    if path_length < 0:
-        raise GraphError(f"path_length must be non-negative, got {path_length}")
-    edges = list(itertools.combinations(range(clique_size), 2))
-    previous = clique_size - 1
-    for i in range(path_length):
-        vertex = clique_size + i
-        edges.append((previous, vertex))
-        previous = vertex
-    return Graph(clique_size + path_length, edges)
 
 
 def erdos_renyi_graph(
@@ -211,42 +132,6 @@ def _steger_wormald_attempt(
         if not placed:
             return None
     return edges
-
-
-def random_geometric_graph(
-    n: int,
-    radius: float,
-    *,
-    seed: "int | np.random.Generator | None" = None,
-    require_connected: bool = True,
-) -> Graph:
-    """Random geometric graph on the unit square (connects points < radius).
-
-    The topology of the author's earlier paper [Narayanan, PODC 2007];
-    included so the geographic-gossip comparison scenario can run.
-    """
-    _check_size(n, minimum=1)
-    if radius <= 0:
-        raise GraphError(f"radius must be positive, got {radius}")
-    rng = as_generator(seed)
-    for _ in range(_MAX_CONNECTIVITY_ATTEMPTS):
-        points = rng.random((n, 2))
-        deltas = points[:, None, :] - points[None, :, :]
-        distances = np.sqrt(np.sum(deltas**2, axis=-1))
-        us, vs = np.nonzero(np.triu(distances < radius, k=1))
-        graph = Graph(n, np.stack([us, vs], axis=1))
-        if not require_connected or graph.is_connected():
-            return graph
-    raise GraphError(
-        f"could not sample a connected RGG(n={n}, r={radius}) in "
-        f"{_MAX_CONNECTIVITY_ATTEMPTS} attempts; increase radius "
-        f"(connectivity threshold is ~sqrt(log n / n) = "
-        f"{math.sqrt(math.log(max(n, 2)) / n):.3f})"
-    )
-
-
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
 
 
 def _check_size(n: int, *, minimum: int, name: str = "n") -> None:

@@ -1,22 +1,10 @@
 """Shared utilities: RNG management, validation, math helpers, rendering, IO."""
 
 from repro.util.rng import RngFactory, as_generator, spawn_generators
-from repro.util.validation import (
-    check_in_range,
-    check_non_negative,
-    check_positive,
-    check_probability,
-    check_type,
-)
-from repro.util.mathx import (
-    geometric_mean,
-    log_ratio,
-    relative_error,
-    running_mean,
-    safe_log,
-)
+from repro.util.validation import check_probability
+from repro.util.mathx import running_mean, safe_log
 from repro.util.tables import Table
-from repro.util.ascii_plot import line_plot, log_log_slope
+from repro.util.ascii_plot import line_plot
 from repro.util.serialization import from_json_file, to_json_file
 from repro.util.timer import Timer
 
@@ -24,19 +12,11 @@ __all__ = [
     "RngFactory",
     "as_generator",
     "spawn_generators",
-    "check_in_range",
-    "check_non_negative",
-    "check_positive",
     "check_probability",
-    "check_type",
-    "geometric_mean",
-    "log_ratio",
-    "relative_error",
     "running_mean",
     "safe_log",
     "Table",
     "line_plot",
-    "log_log_slope",
     "from_json_file",
     "to_json_file",
     "Timer",

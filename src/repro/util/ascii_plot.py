@@ -99,15 +99,3 @@ def _axis_label(value: float, log: bool) -> str:
     if log:
         return f"{10 ** value:.3g}"
     return f"{value:.3g}"
-
-
-def log_log_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Slope of ``log y`` against ``log x`` — the empirical scaling exponent.
-
-    Convenience wrapper used in figure captions, e.g. "vanilla gossip on
-    dumbbells: measured exponent 1.02 (theory: 1)".
-    """
-    from repro.util.mathx import fit_power_law
-
-    exponent, _ = fit_power_law(xs, ys)
-    return exponent

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,36 +19,6 @@ def safe_log(value: float, *, floor: float = LOG_FLOOR) -> float:
     that as "converged past measurement range" rather than an error.
     """
     return math.log(max(value, floor))
-
-
-def log_ratio(numerator: float, denominator: float) -> float:
-    """``log(numerator / denominator)`` computed stably via :func:`safe_log`."""
-    if denominator <= 0:
-        raise ValueError(f"denominator must be positive, got {denominator}")
-    return safe_log(numerator) - math.log(denominator)
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of positive values (0 if any value is zero)."""
-    logs = []
-    for value in values:
-        if value < 0:
-            raise ValueError(
-                f"geometric mean requires non-negative values, got {value}"
-            )
-        if value == 0.0:
-            return 0.0
-        logs.append(math.log(value))
-    if not logs:
-        raise ValueError("geometric mean of an empty sequence is undefined")
-    return math.exp(sum(logs) / len(logs))
-
-
-def relative_error(measured: float, reference: float) -> float:
-    """``|measured - reference| / |reference|``; reference must be non-zero."""
-    if reference == 0:
-        raise ValueError("relative error undefined for zero reference")
-    return abs(measured - reference) / abs(reference)
 
 
 def running_mean(values: Sequence[float]) -> np.ndarray:

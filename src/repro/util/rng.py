@@ -9,8 +9,6 @@ get reproducible yet statistically independent randomness.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
-
 import numpy as np
 
 SeedLike = "int | np.random.Generator | np.random.SeedSequence | None"
@@ -124,22 +122,3 @@ def _stable_name_key(name: str) -> int:
     for byte in name.encode("utf-8"):
         acc = (acc ^ byte) * 16777619 % (1 << 32)
     return acc
-
-
-def iter_seeds(root_seed: "int | None", count: int) -> Iterator[int]:
-    """Yield ``count`` distinct 63-bit integer seeds derived from ``root_seed``."""
-    sequence = np.random.SeedSequence(root_seed)
-    state = sequence.generate_state(count, dtype=np.uint64)
-    for value in state:
-        yield int(value) & ((1 << 63) - 1)
-
-
-def sample_without_replacement(
-    rng: np.random.Generator, population: Sequence[int], size: int
-) -> np.ndarray:
-    """Sample ``size`` distinct items from ``population`` (validated)."""
-    if size > len(population):
-        raise ValueError(
-            f"cannot sample {size} items from population of {len(population)}"
-        )
-    return rng.choice(np.asarray(population), size=size, replace=False)

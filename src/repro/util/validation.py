@@ -1,40 +1,9 @@
-"""Small argument-validation helpers used across the library.
+"""Argument validation with a uniform message ("alpha must be in [0, 1]").
 
-These keep error messages uniform ("name must be positive, got -3") and the
-call sites one-liners.  Each helper returns the validated value so it can be
-used inline in assignments.
+The helper returns the validated value so it can be used inline.
 """
 
 from __future__ import annotations
-
-from typing import Any, TypeVar
-
-T = TypeVar("T")
-
-
-def check_type(value: Any, expected: "type | tuple[type, ...]", name: str) -> Any:
-    """Raise :class:`TypeError` unless ``value`` is an instance of ``expected``."""
-    if not isinstance(value, expected):
-        if isinstance(expected, tuple):
-            names = " or ".join(t.__name__ for t in expected)
-        else:
-            names = expected.__name__
-        raise TypeError(f"{name} must be {names}, got {type(value).__name__}")
-    return value
-
-
-def check_positive(value: float, name: str) -> float:
-    """Raise :class:`ValueError` unless ``value`` > 0."""
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
-
-
-def check_non_negative(value: float, name: str) -> float:
-    """Raise :class:`ValueError` unless ``value`` >= 0."""
-    if value < 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
-    return value
 
 
 def check_probability(value: float, name: str) -> float:
@@ -42,35 +11,3 @@ def check_probability(value: float, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
     return value
-
-
-def check_in_range(
-    value: float,
-    name: str,
-    *,
-    low: "float | None" = None,
-    high: "float | None" = None,
-    low_inclusive: bool = True,
-    high_inclusive: bool = True,
-) -> float:
-    """Raise :class:`ValueError` unless ``value`` lies in the given interval."""
-    if low is not None:
-        if low_inclusive and value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
-        if not low_inclusive and value <= low:
-            raise ValueError(f"{name} must be > {low}, got {value}")
-    if high is not None:
-        if high_inclusive and value > high:
-            raise ValueError(f"{name} must be <= {high}, got {value}")
-        if not high_inclusive and value >= high:
-            raise ValueError(f"{name} must be < {high}, got {value}")
-    return value
-
-
-def check_integer(value: Any, name: str) -> int:
-    """Coerce numpy/bool-free integers; raise :class:`TypeError` otherwise."""
-    import numbers
-
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    return int(value)

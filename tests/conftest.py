@@ -8,7 +8,9 @@ import pytest
 from repro.graphs.composites import dumbbell_graph, two_expanders
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
-from repro.graphs.topologies import complete_graph, cycle_graph, path_graph
+from repro.graphs.topologies import complete_graph
+
+from oracles import cycle_graph, path_graph
 
 
 @pytest.fixture

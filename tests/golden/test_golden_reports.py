@@ -24,7 +24,6 @@ import pytest
 
 from repro.engine.store import ResultsStore
 from repro.reports import (
-    CLAIM_SEEDS,
     SweepSource,
     evaluate_claims,
     get_claims,

@@ -15,12 +15,9 @@ from repro.graphs.cuts import fiedler_sweep_cut
 from repro.graphs.graph import Graph
 from repro.graphs.properties import diameter
 from repro.graphs.spectral import algebraic_connectivity, laplacian_matrix
-from repro.graphs.topologies import (
-    erdos_renyi_graph,
-    grid_graph,
-    hypercube_graph,
-    random_regular_graph,
-)
+from repro.graphs.topologies import erdos_renyi_graph, grid_graph, random_regular_graph
+
+from oracles import hypercube_graph
 
 
 def to_networkx(graph: Graph) -> "nx.Graph":

@@ -8,15 +8,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.dominance import (
-    couple_with_dominating_walk,
-    dominance_violations,
-    stochastically_dominates,
-)
+from repro.analysis.dominance import couple_with_dominating_walk, dominance_violations
 from repro.analysis.potential import decompose
 from repro.analysis.random_walk import dominating_walk_paths, time_to_stay_below
 from repro.graphs.composites import two_cliques
 from repro.util.serialization import to_jsonable
+
+from oracles import stochastically_dominates
 
 
 @st.composite

@@ -37,14 +37,15 @@ from repro.algorithms.second_order import AsyncSecondOrderGossip
 from repro.algorithms.two_timescale import TwoTimescaleGossip
 from repro.algorithms.vanilla import VanillaGossip
 from repro.clocks.poisson import PoissonEdgeClocks
-from repro.clocks.schedule import RoundRobinSchedule, ScriptedSchedule
+from repro.clocks.schedule import ScriptedSchedule
 from repro.clocks.unreliable import FailingEdgeClocks, LossyClocks
 from repro.core.multi_cut import MultiCutGossip
 from repro.engine.results import results_identical
 from repro.engine.simulator import Simulator
 from repro.graphs.clustering import ClusterPartition, chain_of_cliques
-from repro.graphs.composites import bridged_pair
 from repro.graphs.graph import Graph
+
+from oracles import RoundRobinSchedule, bridged_pair
 
 
 class GenericVanilla(VanillaGossip):

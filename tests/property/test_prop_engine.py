@@ -11,7 +11,9 @@ from repro.algorithms.vanilla import VanillaGossip
 from repro.clocks.poisson import PoissonEdgeClocks
 from repro.clocks.schedule import ScriptedSchedule
 from repro.engine.simulator import simulate
-from repro.graphs.topologies import complete_graph, cycle_graph
+from repro.graphs.topologies import complete_graph
+
+from oracles import cycle_graph
 
 values_8 = st.lists(
     st.floats(-1000.0, 1000.0, allow_nan=False, allow_infinity=False),

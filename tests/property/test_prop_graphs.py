@@ -8,11 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import EdgeError, VertexError
-from repro.graphs.builders import graph_from_adjacency_matrix, relabel_graph
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
-from repro.graphs.properties import connected_components
 from repro.graphs.spectral import laplacian_matrix
+
+from oracles import connected_components, graph_from_adjacency_matrix, relabel_graph
 
 
 @st.composite

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 from repro.engine.backends import AlgorithmFactory
 from repro.engine.results import results_identical
 from repro.engine.runner import MonteCarloRunner
-from repro.graphs.topologies import complete_graph, cycle_graph
+from repro.graphs.topologies import complete_graph
+
+from oracles import cycle_graph
 
 
 class FixedWorkload:

@@ -12,20 +12,10 @@ from repro.analysis.bounds import (
     theorem1_lower_bound,
     theorem2_upper_bound,
 )
-from repro.analysis.dominance import (
-    couple_with_dominating_walk,
-    dominance_violations,
-    empirical_cdf,
-    stochastically_dominates,
-)
+from repro.analysis.dominance import couple_with_dominating_walk, dominance_violations
 from repro.analysis.epoch_trace import epoch_potential_trace
-from repro.analysis.operators import (
-    expected_update_matrix,
-    log_norm_walk,
-    operator_norm,
-    sample_epoch_operators,
-)
-from repro.analysis.potential import decompose, imbalance_probe, sigma_probe
+from repro.analysis.operators import operator_norm, sample_epoch_operators
+from repro.analysis.potential import decompose
 from repro.analysis.random_walk import (
     dominating_walk_paths,
     settling_time_estimate,
@@ -34,14 +24,21 @@ from repro.analysis.random_walk import (
     theorem3_tail_bound,
     time_to_stay_below,
 )
-from repro.analysis.theory import (
-    exact_algebraic_connectivity,
-    expected_variance_decay_rate,
-    vanilla_variance_halving_time,
-)
 from repro.errors import AnalysisError
 from repro.graphs.composites import two_cliques
 from repro.graphs.topologies import complete_graph
+
+from oracles import (
+    empirical_cdf,
+    exact_algebraic_connectivity,
+    expected_update_matrix,
+    expected_variance_decay_rate,
+    imbalance_probe,
+    log_norm_walk,
+    sigma_probe,
+    stochastically_dominates,
+    vanilla_variance_halving_time,
+)
 
 
 class TestPotential:

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.clocks.counters import TickCounters
-from repro.clocks.events import EdgeTick
 from repro.clocks.poisson import PoissonEdgeClocks
-from repro.clocks.schedule import RoundRobinSchedule, ScriptedSchedule
+from repro.clocks.schedule import ScriptedSchedule
+
+from oracles import EdgeTick, RoundRobinSchedule, TickCounters
 
 
 class TestEdgeTick:

@@ -13,7 +13,9 @@ from repro.graphs.clustering import (
     spectral_clusters,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.topologies import complete_graph, path_graph
+from repro.graphs.topologies import complete_graph
+
+from oracles import path_graph
 
 
 class TestClusterPartition:

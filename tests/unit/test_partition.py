@@ -8,7 +8,9 @@ import pytest
 
 from repro.errors import PartitionError
 from repro.graphs.partition import Partition
-from repro.graphs.topologies import complete_graph, path_graph
+from repro.graphs.topologies import complete_graph
+
+from oracles import path_graph
 
 
 class TestConstruction:

@@ -15,10 +15,12 @@ from repro.engine.averaging_time import (
     epsilon_averaging_time,
     estimate_averaging_time,
 )
-from repro.engine.metrics import consensus_error, variance_of, variance_ratio
+from repro.engine.metrics import variance_of, variance_ratio
 from repro.engine.runner import MonteCarloRunner, ReplicateSummary
 from repro.errors import SimulationError
 from repro.graphs.topologies import complete_graph
+
+from oracles import consensus_error
 
 
 class TestMonteCarloRunner:

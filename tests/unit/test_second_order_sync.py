@@ -14,7 +14,9 @@ from repro.algorithms.second_order import (
     second_largest_modulus,
 )
 from repro.errors import AlgorithmError
-from repro.graphs.topologies import complete_graph, cycle_graph, path_graph
+from repro.graphs.topologies import complete_graph
+
+from oracles import cycle_graph, path_graph
 
 
 class TestDiffusionMatrix:

@@ -22,14 +22,15 @@ from repro.algorithms.rules import (
 from repro.algorithms.second_order import AsyncSecondOrderGossip
 from repro.algorithms.two_timescale import TwoTimescaleGossip
 from repro.algorithms.vanilla import VanillaGossip
-from repro.clocks.schedule import RoundRobinSchedule, ScriptedSchedule
+from repro.clocks.schedule import ScriptedSchedule
 from repro.core.multi_cut import MultiCutGossip
 from repro.graphs.clustering import chain_of_cliques
 from repro.engine.recorder import TraceRecorder
 from repro.engine.simulator import Simulator, simulate
 from repro.errors import SimulationError
 from repro.graphs.graph import Graph
-from repro.graphs.topologies import path_graph
+
+from oracles import RoundRobinSchedule, path_graph
 
 
 class TestBasicRuns:

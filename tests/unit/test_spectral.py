@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.theory import exact_algebraic_connectivity
 from repro.errors import DisconnectedGraphError, GraphError
 from repro.graphs.graph import Graph
 from repro.graphs.spectral import (
@@ -15,15 +14,17 @@ from repro.graphs.spectral import (
     fiedler_vector,
     laplacian_matrix,
     laplacian_spectrum,
-    normalized_laplacian_matrix,
-    spectral_gap,
     spectral_mixing_time,
 )
-from repro.graphs.topologies import (
-    complete_graph,
+from repro.graphs.topologies import complete_graph
+
+from oracles import (
     cycle_graph,
+    exact_algebraic_connectivity,
     hypercube_graph,
+    normalized_laplacian_matrix,
     path_graph,
+    spectral_gap,
     star_graph,
 )
 

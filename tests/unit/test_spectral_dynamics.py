@@ -7,13 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis.spectral_dynamics import (
-    VanillaMeanDynamics,
-    monte_carlo_expected_variance,
-)
 from repro.errors import AnalysisError
 from repro.graphs.graph import Graph
-from repro.graphs.topologies import complete_graph, cycle_graph
+from repro.graphs.topologies import complete_graph
+
+from oracles import VanillaMeanDynamics, cycle_graph, monte_carlo_expected_variance
 
 
 class TestMeanDynamics:

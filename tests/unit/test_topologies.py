@@ -8,16 +8,19 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graphs.topologies import (
-    binary_tree,
     complete_graph,
-    cycle_graph,
     erdos_renyi_graph,
     grid_graph,
+    random_regular_graph,
+)
+
+from oracles import (
+    binary_tree,
+    cycle_graph,
     hypercube_graph,
     lollipop_graph,
     path_graph,
     random_geometric_graph,
-    random_regular_graph,
     star_graph,
     torus_graph,
 )

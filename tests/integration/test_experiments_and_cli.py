@@ -56,6 +56,30 @@ def test_experiment_smoke_passes(experiment_id):
     )
 
 
+#: Shape checks that fail at ``--scale default`` for some report seeds
+#: (docs/reports.md, "Known seed-fragile checks").  ``strict=True`` turns
+#: a later fix into an XPASS, so the fix has to retire its entry here.
+SEED_FRAGILE = [
+    ("E11", 64, "geographic needs asymptotically fewer messages"),
+    ("E2", 37, "T_av(A) grows sublinearly (polylog regime)"),
+    ("E9", 64, "the well-connectedness indicator predicts the winner"),
+]
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="seed-fragile shape check"
+)
+@pytest.mark.parametrize(
+    "experiment_id, seed, check_name",
+    SEED_FRAGILE,
+    ids=[f"{eid}-seed{seed}" for eid, seed, _ in SEED_FRAGILE],
+)
+def test_seed_fragile_check_passes(experiment_id, seed, check_name):
+    report = run_experiment(experiment_id, scale="default", seed=seed)
+    (check,) = [c for c in report.checks if c.name == check_name]
+    assert check.passed, f"{experiment_id} seed {seed}: {check.detail}"
+
+
 def test_cli_runs_single_experiment(tmp_path, capsys):
     exit_code = main(["run", "E6", "--scale", "smoke", "--out", str(tmp_path)])
     captured = capsys.readouterr()

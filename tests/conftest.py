@@ -1,9 +1,10 @@
-"""Shared fixtures: small graphs, partitions and workloads used across tests."""
+"""Shared fixtures and the Hypothesis profile used across tests."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graphs.composites import dumbbell_graph, two_expanders
 from repro.graphs.graph import Graph
@@ -11,6 +12,12 @@ from repro.graphs.partition import Partition
 from repro.graphs.topologies import complete_graph
 
 from oracles import cycle_graph, path_graph
+
+# No per-example deadline: an example's wall time depends on machine load
+# and on first-call costs (imports, compiled-loop builds, caches), so a
+# deadline makes tier-1 pass or fail by timing, not by behavior.
+settings.register_profile("repro", deadline=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture

@@ -62,7 +62,7 @@ def make_result(name, axes, rows):
     ratio=st.floats(min_value=0.05, max_value=50.0),
     base=st.floats(min_value=0.5, max_value=100.0),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_ratio_claim_flips_exactly_at_the_band_edges(ratio, base):
     claim = RatioClaim(
         claim_id="p-ratio",
@@ -93,7 +93,7 @@ def test_ratio_claim_flips_exactly_at_the_band_edges(ratio, base):
     exponent=st.floats(min_value=0.0, max_value=3.0),
     prefactor=st.floats(min_value=0.01, max_value=10.0),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_exponent_claim_flips_exactly_at_the_band_edges(exponent, prefactor):
     claim = ExponentClaim(
         claim_id="p-exp",
@@ -125,7 +125,7 @@ def test_exponent_claim_flips_exactly_at_the_band_edges(exponent, prefactor):
     factor=st.sampled_from([1.0, 4.0]),
     side=st.sampled_from(["lower", "upper"]),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_bound_claim_flips_exactly_at_the_threshold(margin, factor, side):
     assume(abs(margin - 1.0) > EDGE)
     bound_value = 7.0
@@ -151,7 +151,7 @@ def test_bound_claim_flips_exactly_at_the_threshold(margin, factor, side):
 
 
 @given(spread=st.floats(min_value=1.0, max_value=25.0))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_spread_claim_flips_exactly_at_max_ratio(spread):
     claim = SpreadClaim(
         claim_id="p-spread",
@@ -177,7 +177,7 @@ def test_spread_claim_flips_exactly_at_max_ratio(spread):
         st.floats(min_value=0.5, max_value=20.0), min_size=2, max_size=6
     ),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_dominance_claim_flips_exactly_at_the_margin(lift, samples):
     claim = DominanceClaim(
         claim_id="p-dom",

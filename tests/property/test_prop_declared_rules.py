@@ -160,7 +160,7 @@ def run_once(config, generic: bool):
 
 class TestDeclaredRuleLoop:
     @given(configurations())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_bit_identical_to_generic_loop(self, config):
         fast_algorithm, fast = run_once(config, generic=False)
         generic_algorithm, generic = run_once(config, generic=True)
@@ -173,7 +173,7 @@ class TestDeclaredRuleLoop:
         )
 
     @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 3, 8192]))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_clock_exhaustion_and_budget_stops_agree(self, seed, batch_size):
         pair = bridged_pair("clique", 4, 5)
         results = []
@@ -348,7 +348,7 @@ def kept_state(name: str, algorithm) -> object:
 
 class TestStatefulAndDrawingRules:
     @given(stateful_configurations())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_bit_identical_to_generic_loop(self, config):
         name = config[0]
         fast_algorithm, fast, fast_state = run_stateful(config, generic=False)
@@ -383,7 +383,7 @@ class TestPushSumTick:
         st.integers(0, 2**31 - 1),
         st.lists(st.integers(0, 14), min_size=1, max_size=300),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_matches_numpy_reference(self, initial, seed, edge_ids):
         pair = bridged_pair("clique", 3, 3)
         graph = pair.graph

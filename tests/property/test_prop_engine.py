@@ -24,7 +24,7 @@ values_8 = st.lists(
 
 class TestEngineBookkeeping:
     @given(values_8, st.integers(0, 2**31 - 1))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_final_variance_matches_numpy(self, initial, seed):
         graph = complete_graph(8)
         result = simulate(graph, VanillaGossip(), initial, seed=seed,
@@ -32,7 +32,7 @@ class TestEngineBookkeeping:
         assert result.variance_final == float(np.var(result.values))
 
     @given(values_8, st.integers(0, 2**31 - 1), st.floats(0.0, 1.0))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_sum_conserved_for_class_c(self, initial, seed, alpha):
         graph = complete_graph(8)
         result = simulate(graph, ConvexGossip(alpha), initial, seed=seed,
@@ -41,7 +41,7 @@ class TestEngineBookkeeping:
         assert result.sum_drift <= 1e-7 * scale * 8
 
     @given(values_8, st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_crossing_times_bounded_by_duration(self, initial, seed):
         graph = cycle_graph(8)
         result = simulate(
@@ -57,7 +57,7 @@ class TestEngineBookkeeping:
         st.lists(st.integers(0, 7), min_size=1, max_size=40),
         values_8,
     )
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_scripted_runs_are_deterministic(self, edge_ids, initial):
         from hypothesis import assume
 
@@ -77,7 +77,7 @@ class TestEngineBookkeeping:
 
 class TestClockProperties:
     @given(st.integers(1, 50), st.integers(0, 2**31 - 1), st.integers(1, 500))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_batches_preserve_order_and_range(self, m, seed, batch):
         clocks = PoissonEdgeClocks(m, seed=seed)
         times, edges = clocks.next_batch(batch)
@@ -86,7 +86,7 @@ class TestClockProperties:
         assert edges.min() >= 0 and edges.max() < m
 
     @given(st.integers(2, 20), st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_exponential_gaps_have_unit_mean_rate_m(self, m, seed):
         clocks = PoissonEdgeClocks(m, seed=seed)
         times, _ = clocks.next_batch(4000)

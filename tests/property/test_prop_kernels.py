@@ -56,7 +56,7 @@ def kernels_agree(
 
 class TestKernelEquivalence:
     @given(values_8, st.integers(0, 2**31 - 1))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_vanilla_event_budget(self, initial, seed):
         from repro.algorithms.vanilla import VanillaGossip
 
@@ -74,7 +74,7 @@ class TestKernelEquivalence:
         st.integers(0, 2**31 - 1),
         st.floats(0.0, 1.0),
     )
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_convex_alpha_sweep(self, initial, seed, alpha):
         from repro.algorithms.convex import ConvexGossip
 
@@ -93,7 +93,7 @@ class TestKernelEquivalence:
         st.floats(0.0, 0.5),
         st.floats(0.5, 1.0),
     )
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_random_convex_weights(self, seed, low, high):
         from repro.algorithms.convex import RandomConvexGossip
 
@@ -112,7 +112,7 @@ class TestKernelEquivalence:
         )
 
     @given(values_8, st.integers(0, 2**31 - 1), st.floats(1e-4, 0.9))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_target_ratio_stop(self, initial, seed, target):
         from repro.algorithms.vanilla import VanillaGossip
 
@@ -143,7 +143,7 @@ class TestGeneralizedLoopEquivalence:
         ),
         st.booleans(),
     )
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_nonconvex_swap_schedule(self, seed, epoch_length, gain, oracle):
         from repro.algorithms.nonconvex import NonConvexSparseCutGossip
         from repro.graphs.composites import dumbbell_graph
@@ -172,7 +172,7 @@ class TestGeneralizedLoopEquivalence:
         )
 
     @given(st.integers(0, 2**31 - 1), st.floats(0.0, 0.9))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_lossy_clock_mask(self, seed, drop):
         from repro.algorithms.vanilla import VanillaGossip
         from repro.clocks.unreliable import LossyPoissonClockFactory
@@ -194,7 +194,7 @@ class TestGeneralizedLoopEquivalence:
         )
 
     @given(st.integers(0, 2**31 - 1), st.floats(0.2, 5.0))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_failing_clock_mask(self, seed, rate):
         from repro.algorithms.nonconvex import NonConvexSparseCutGossip
         from repro.clocks.unreliable import FailingPoissonClockFactory

@@ -49,7 +49,7 @@ def _make_spec(grid: "dict[str, list[int]]") -> SweepSpec:
 
 class TestGridExpansion:
     @given(axes_grids)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_cardinality_is_axis_product(self, grid):
         spec = _make_spec(grid)
         points = spec.expand()
@@ -62,7 +62,7 @@ class TestGridExpansion:
         assert [p.index for p in points] == list(range(expected))
 
     @given(axes_grids)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_no_duplicate_configurations(self, grid):
         spec = _make_spec(grid)
         points = spec.expand()
@@ -75,20 +75,20 @@ class TestGridExpansion:
                 assert point.params[name] in values
 
     @given(axes_grids)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_expansion_is_deterministic(self, grid):
         spec = _make_spec(grid)
         assert spec.expand() == spec.expand()
 
     @given(st.lists(st.integers(0, 20), min_size=2, max_size=6))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_duplicate_axis_values_rejected(self, values):
         with pytest.raises(SweepError):
             SweepAxis("n", tuple(values) + (values[0],))
 
     @given(axes_grids, st.lists(st.integers(100, 200), min_size=1,
                                 max_size=4, unique=True))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_with_axis_replaces_values(self, grid, new_values):
         spec = _make_spec(grid)
         name = next(iter(grid))
@@ -116,7 +116,7 @@ class TestSeedNamespaces:
         st.integers(0, 2**31 - 1),  # sweep root seed
         st.lists(st.integers(1, 4), min_size=1, max_size=3),  # round sizes
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_streams_disjoint_across_points_and_rounds(
         self, n_points, seed, round_sizes
     ):
@@ -142,7 +142,7 @@ class TestSeedNamespaces:
         assert len(seen) == expected
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_round_windows_tile_the_full_sequence(self, seed, k1, k2):
         """build_specs(k, start=s) windows reproduce one big window's
         streams exactly — growing a point in rounds changes nothing."""
@@ -161,7 +161,7 @@ class TestSeedNamespaces:
             assert a.seed_sequence.spawn_key == b.seed_sequence.spawn_key
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(1, 4))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_point_namespaces_disjoint_from_runner_namespaces(
         self, seed, n_points, n_replicates
     ):

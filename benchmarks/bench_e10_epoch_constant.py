@@ -1,8 +1,8 @@
 """Benchmark E10 — Epoch-constant C ablation (fidelity note F4).
 
 Regenerates the experiment's tables/figures at the configured scale and
-asserts the paper's shape predictions.  See EXPERIMENTS.md (E10) for the
-paper-vs-measured record this produces.
+asserts the paper's shape predictions.  See "Fidelity notes" in
+docs/reports.md for where the reproduction departs from the paper.
 """
 
 

@@ -1,8 +1,8 @@
 """Benchmark E11 — Geographic gossip on geometric random graphs (reference [6]).
 
 Regenerates the experiment's tables/figures at the configured scale and
-asserts the predictions.  See EXPERIMENTS.md (E11) for the
-paper-vs-measured record this produces.
+asserts the predictions.  See "Fidelity notes" in docs/reports.md for
+where the reproduction departs from the paper.
 """
 
 

@@ -1,8 +1,8 @@
 """Benchmark E13 — Failure injection: designated-edge death and failover.
 
 Regenerates the experiment's tables/figures at the configured scale and
-asserts the predictions.  See EXPERIMENTS.md (E13) for the
-paper-vs-measured record this produces.
+asserts the predictions.  See "Fidelity notes" in docs/reports.md for
+where the reproduction departs from the paper.
 """
 
 

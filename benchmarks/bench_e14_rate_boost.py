@@ -1,8 +1,8 @@
 """Benchmark E14 — Bandwidth-vs-algorithm: boosted cut clock vs non-convex swap.
 
 Regenerates the experiment's tables/figures at the configured scale and
-asserts the predictions.  See EXPERIMENTS.md (E14) for the
-paper-vs-measured record this produces.
+asserts the predictions.  See "Fidelity notes" in docs/reports.md for
+where the reproduction departs from the paper.
 """
 
 

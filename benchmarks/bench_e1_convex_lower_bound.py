@@ -1,8 +1,8 @@
 """Benchmark E1 — Theorem 1: convex lower bound Omega(n1/|E12|) - T_av vs n.
 
 Regenerates the experiment's tables/figures at the configured scale and
-asserts the paper's shape predictions.  See EXPERIMENTS.md (E1) for the
-paper-vs-measured record this produces.
+asserts the paper's shape predictions.  See "Fidelity notes" in
+docs/reports.md for where the reproduction departs from the paper.
 """
 
 

@@ -1,8 +1,8 @@
 """Benchmark E2 — Theorem 2: Algorithm A inside O(log n (Tvan1+Tvan2)).
 
 Regenerates the experiment's tables/figures at the configured scale and
-asserts the paper's shape predictions.  See EXPERIMENTS.md (E2) for the
-paper-vs-measured record this produces.
+asserts the paper's shape predictions.  See "Fidelity notes" in
+docs/reports.md for where the reproduction departs from the paper.
 """
 
 

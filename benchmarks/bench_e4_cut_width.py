@@ -1,8 +1,8 @@
 """Benchmark E4 — Cut-width sweep: convex ~ n1/|E12|, A insensitive.
 
 Regenerates the experiment's tables/figures at the configured scale and
-asserts the paper's shape predictions.  See EXPERIMENTS.md (E4) for the
-paper-vs-measured record this produces.
+asserts the paper's shape predictions.  See "Fidelity notes" in
+docs/reports.md for where the reproduction departs from the paper.
 """
 
 

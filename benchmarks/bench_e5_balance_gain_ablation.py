@@ -1,8 +1,8 @@
 """Benchmark E5 — Balance sweep + swap-gain ablation (fidelity note F1).
 
 Regenerates the experiment's tables/figures at the configured scale and
-asserts the paper's shape predictions.  See EXPERIMENTS.md (E5) for the
-paper-vs-measured record this produces.
+asserts the paper's shape predictions.  See "Fidelity notes" in
+docs/reports.md for where the reproduction departs from the paper.
 """
 
 

@@ -15,7 +15,7 @@ Quick start
 >>> bool(round(result.values.mean(), 6) == 31.5)
 True
 
-See README.md for the guided tour and DESIGN.md for the system inventory.
+See docs/reports.md for the reports and their fidelity notes.
 """
 
 from repro.core import (

@@ -25,7 +25,8 @@ Fidelity note: [6] additionally uses affine (non-convex) combinations
 along the route under partial centralized control to reach ``n^{1+o(1)}``
 updates; the routable-rendezvous version implemented here is its standard
 substrate (Dimakis-Sarwate-Wainwright style) and is what the experiment
-E11 measures.  The substitution is recorded in DESIGN.md section 2.
+E11 measures.  The substitution is recorded under "Fidelity notes" in
+docs/reports.md.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ partition ``(V1, V2)`` (``n1 <= n2``) and a designated cut edge
   a convex update can move only ``O(1)`` mass per cut tick, which is what
   Theorem 1's ``Omega(n1 / |E12|)`` bound counts.
 
-Gain conventions (fidelity note F1 in DESIGN.md):
+Gain conventions (fidelity note F1 in docs/reports.md):
 
 * ``gain="paper"`` — ``g = n1``, the literal constant in the paper.  After
   both sides remix internally the imbalance evolves as

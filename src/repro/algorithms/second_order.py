@@ -19,7 +19,7 @@ The scheme is synchronous.  We provide:
   singular value of ``M``).  One synchronous round is equated to one unit
   of continuous time when compared against edge-clock algorithms (every
   edge clock fires once per unit time in expectation) — substitution
-  documented in DESIGN.md section 2.
+  documented under "Fidelity notes" in docs/reports.md.
 * :class:`AsyncSecondOrderGossip` — an adaptation to the paper's
   asynchronous edge-clock model: each node remembers its previous value;
   on a tick the endpoints apply the second-order stencil restricted to the

@@ -4,7 +4,7 @@ The paper's related-work section points to averaging schemes with two time
 scales.  There is no canonical distributed-averaging instantiation in
 those references (they treat general stochastic approximation), so we
 implement the natural one for a sparse-cut graph — documented substitution,
-see DESIGN.md section 2:
+see "Fidelity notes" in docs/reports.md:
 
 * internal edges run at the fast scale: plain vanilla averaging;
 * cut edges run at a slow scale: a convex step ``x <- x + step * (x_j - x_i)``

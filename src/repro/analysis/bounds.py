@@ -1,6 +1,6 @@
 """Closed-form theorem bounds for paper-vs-measured comparisons.
 
-These are the numbers EXPERIMENTS.md quotes next to every measurement:
+These are the numbers the reports quote next to every measurement:
 Theorem 1's convex lower bound with the constant the paper's Section-2
 derivation actually produces, Theorem 2's envelope, and the dumbbell
 headline predictions.
@@ -34,7 +34,8 @@ def theorem2_upper_bound(
 ) -> float:
     """Theorem 2's envelope ``C * ln n * (Tvan(G1) + Tvan(G2))``.
 
-    ``Tvan`` is taken as the spectral proxy (DESIGN.md F2).  This is an
+    ``Tvan`` is taken as the spectral proxy (fidelity note F2 in
+    docs/reports.md).  This is an
     order bound — the interesting comparisons are ratios across ``n``.
     """
     if constant <= 0:

@@ -7,7 +7,7 @@ The paper defines
 
 i.e. the earliest time after which, with probability at least ``1 - 1/e``,
 the variance ratio never again exceeds ``e^{-2}``.  The Monte-Carlo analog
-(fidelity note F3 in DESIGN.md):
+(fidelity note F3 in docs/reports.md):
 
 1. fix the initial vector — experiments use the adversarial cut-aligned
    vector from the paper's own Theorem-1 proof, standing in for the

@@ -4,7 +4,7 @@ Every experiment spec produces an :class:`ExperimentReport` — the tables,
 rendered figures, measured scalars and *shape checks* that together
 reproduce one claim of the paper.  Shape checks encode what the paper
 actually predicts (orderings, scaling exponents, bound satisfaction), not
-absolute constants (DESIGN.md, fidelity note F2).
+absolute constants (fidelity note F2 in docs/reports.md).
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ def save_report(
 ) -> "tuple[Path, Path]":
     """Write ``<id>.txt`` (rendered) and ``<id>.json`` (structured).
 
-    Returns the two paths.  The JSON artifact is what EXPERIMENTS.md's
-    paper-vs-measured entries are compiled from.
+    Returns the two paths.  The JSON artifact is the machine-readable
+    record of the report's paper-vs-measured values.
     """
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)

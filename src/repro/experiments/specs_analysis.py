@@ -4,7 +4,7 @@ E6 measures the stochastic-dominance argument (the per-epoch
 log-variance walk, its dominating biased walk, Theorem 3's tail, the
 constant settling time); E7 the per-epoch potential inequalities (4)-(8).
 
-A fidelity finding surfaced here (DESIGN.md note F5): the paper's Lemma 1,
+A fidelity finding surfaced here (docs/reports.md, note F5): the paper's Lemma 1,
 *read as a worst-case operator-norm statement* ``P[||A_k||^2 >= n^-3] <=
 1/2``, is false — the epoch operator always maps the cross-cut imbalance
 direction to a post-swap spike of norm ~ gain.  What is true (and what

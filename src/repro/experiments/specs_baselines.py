@@ -52,7 +52,7 @@ def e8_measurements(scale: "str | None" = None, seed: int = 31) -> dict:
     async-adapted), push-sum (outside class C but still cut-limited),
     the synchronous second-order baseline in rounds, and Algorithm A.
     One synchronous round counts as one time unit (every edge ticks once
-    per unit time in expectation; DESIGN.md section 2).
+    per unit time in expectation; see "Fidelity notes" in docs/reports.md).
     """
     from repro.experiments.specs_sweeps import REPORT_REPLICATES
 

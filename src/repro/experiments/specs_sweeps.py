@@ -88,7 +88,7 @@ E5_FRACTIONS = {
     "full": (0.125, 0.25, 0.375, 0.5),
 }
 E5_TOTAL = {"smoke": 32, "default": 128, "full": 256}
-#: E5's gain axis: the documented deviation (DESIGN.md F1) vs the paper.
+#: E5's gain axis: the documented deviation (fidelity note F1) vs the paper.
 E5_GAINS = ("exact", "paper")
 E10_CONSTANTS = {
     "smoke": (0.02, 3.0),

@@ -92,7 +92,7 @@ def spectral_mixing_time(graph: Graph, *, variance_ratio: float = np.e**-2) -> f
     ``t = 2 ln(1 / ratio) / lambda_2``; the default ratio ``e^{-2}`` (the
     paper's Definition 1 threshold) gives ``t = 4 / lambda_2``.  This is
     the library's spectral proxy for ``Tvan(G)`` (fidelity note F2 in
-    DESIGN.md).
+    docs/reports.md).
     """
     if not 0 < variance_ratio < 1:
         raise GraphError(

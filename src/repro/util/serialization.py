@@ -3,7 +3,7 @@
 Experiment outputs are plain nested dicts/lists/scalars plus numpy types;
 this module converts numpy scalars/arrays to built-ins on the way out and
 validates on the way in.  Keeping results as JSON makes the benchmark
-artifacts (`EXPERIMENTS.md` inputs) diffable and machine-readable.
+artifacts diffable and machine-readable.
 """
 
 from __future__ import annotations

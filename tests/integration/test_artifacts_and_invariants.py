@@ -59,7 +59,7 @@ class TestEq12AcrossRandomInstances:
         assert all(s.norm <= n + 1e-9 for s in samples)
         # The swap is the norm driver: the cross-cut imbalance direction
         # (fixed by mixing) maps to a post-swap spike of norm
-        # ~sqrt(n1 n2 / n) (see DESIGN.md note F5).
+        # ~sqrt(n1 n2 / n) (fidelity note F5 in docs/reports.md).
         spike_floor = math.sqrt(n1 * n2 / (n1 + n2))
         assert max(s.norm for s in samples) >= 0.8 * spike_floor
 

@@ -111,13 +111,12 @@ class GeographicGossip(GossipAlgorithm):
             self._message_count += 1
             mean = 0.5 * (values[u] + values[v])
             return mean, mean
-        route = self.network.greedy_route(initiator, target)
-        if route is None:
+        hops = self.network.hop_count(initiator, target)
+        if hops is None:
             self._void_fallbacks += 1
             self._message_count += 1
             mean = 0.5 * (values[u] + values[v])
             return mean, mean
-        hops = len(route) - 1
         # Out along the route, and the averaged value travels back.
         self._message_count += 2 * hops
         self._long_range_exchanges += 1

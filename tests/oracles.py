@@ -9,7 +9,7 @@ need from the retired API lives here, in one module:
   ``bridged_pair`` family dispatcher;
 * exact references the library is checked against: closed-form
   algebraic connectivities, vanilla gossip's expected dynamics, a BFS
-  component split and a round-robin clock;
+  component split, a round-robin clock and the hop-by-hop greedy route;
 * retired helpers, each kept only for the tests that exercise it.  Delete
   a retired helper together with its tests.
 """
@@ -36,6 +36,7 @@ from repro.graphs.composites import (
     two_expanders,
     two_grids,
 )
+from repro.graphs.geometric import GeometricNetwork
 from repro.graphs.graph import Graph
 from repro.graphs.partition import Partition
 from repro.graphs.spectral import algebraic_connectivity, laplacian_matrix
@@ -375,6 +376,40 @@ def random_geometric_graph(
         f"could not sample a connected RGG(n={n}, r={radius}) in "
         f"{_MAX_CONNECTIVITY_ATTEMPTS} attempts; increase radius"
     )
+
+
+def greedy_route(
+    network: GeometricNetwork, source: int, target: int
+) -> "list[int] | None":
+    """Greedy geographic route ``source -> target``, walked hop by hop.
+
+    The reference loop for :meth:`GeometricNetwork.hop_count`: each hop
+    moves to the neighbor strictly closest to the target's position (the
+    first in CSR order on a tie).  Returns the vertex path including both
+    endpoints, or ``None`` when greedy forwarding hits a void (no neighbor
+    improves).
+    """
+    n = network.graph.n_vertices
+    for vertex in (source, target):
+        if not 0 <= vertex < n:
+            raise GraphError(f"vertex {vertex} out of range for {n} vertices")
+    path = [source]
+    current = source
+    goal = network.positions[target]
+    current_distance = float(np.linalg.norm(network.positions[current] - goal))
+    while current != target:
+        neighbors = network.graph.neighbors(current)
+        if len(neighbors) == 0:
+            return None
+        offsets = network.positions[neighbors] - goal
+        distances = np.sqrt(np.sum(offsets * offsets, axis=1))
+        best = int(np.argmin(distances))
+        if distances[best] >= current_distance:
+            return None  # greedy void
+        current = int(neighbors[best])
+        current_distance = float(distances[best])
+        path.append(current)
+    return path
 
 
 def _norm(u: int, v: int) -> tuple[int, int]:

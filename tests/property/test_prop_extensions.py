@@ -16,6 +16,8 @@ from repro.graphs.geometric import GeometricNetwork
 from repro.graphs.graph import Graph
 from repro.graphs.topologies import complete_graph
 
+from oracles import greedy_route
+
 
 class TestGeneralUpdatePath:
     """The engine's list-of-(vertex, value) update path must keep exact stats."""
@@ -27,7 +29,7 @@ class TestGeneralUpdatePath:
         ),
         st.integers(0, 2**31 - 1),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_remote_pair_averaging_matches_numpy(self, initial, seed):
         assume(float(np.var(initial)) > 1e-9)
 
@@ -63,7 +65,7 @@ def clique_chains(draw):
 
 class TestMultiCutProperties:
     @given(clique_chains(), st.data())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_sum_conserved_under_any_tick_sequence(self, chain, data):
         graph, clusters = chain
         n = graph.n_vertices
@@ -95,7 +97,7 @@ class TestMultiCutProperties:
         )
 
     @given(clique_chains(), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_swap_equalizes_the_pair_for_any_values(self, chain, mu_a, mu_b):
         graph, clusters = chain
         algo = MultiCutGossip(clusters, epoch_lengths=1)
@@ -122,7 +124,7 @@ class TestUnreliableClockProperties:
         st.floats(0.0, 0.9),
         st.integers(0, 2**31 - 1),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_lossy_preserves_order_and_subset(self, m, p, seed):
         inner = PoissonEdgeClocks(m, seed=seed)
         reference = PoissonEdgeClocks(m, seed=seed)
@@ -135,7 +137,7 @@ class TestUnreliableClockProperties:
         assert set(times.tolist()) <= set(ref_times.tolist())
 
     @given(st.integers(2, 20), st.integers(0, 2**31 - 1), st.data())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_failing_edges_never_tick_after_death(self, m, seed, data):
         deaths = {
             e: data.draw(st.floats(0.0, 5.0))
@@ -151,7 +153,7 @@ class TestUnreliableClockProperties:
 
 class TestGeometricProperties:
     @given(st.integers(2, 30), st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_greedy_route_distance_strictly_decreases(self, n, seed):
         rng = np.random.default_rng(seed)
         positions = rng.random((n, 2))
@@ -159,8 +161,56 @@ class TestGeometricProperties:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
         network = GeometricNetwork(graph=Graph(n, edges), positions=positions)
         source, target = int(rng.integers(n)), int(rng.integers(n))
-        route = network.greedy_route(source, target)
+        route = greedy_route(network, source, target)
         assert route is not None
         assert route[0] == source and route[-1] == target
         distances = [network.distance(v, target) for v in route]
         assert all(b < a for a, b in zip(distances, distances[1:]))
+
+    @given(
+        st.integers(2, 30),
+        st.floats(0.5, 2.0),  # radius as a multiple of sqrt(log n / n)
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=40)
+    def test_hop_count_matches_greedy_route(self, n, multiple, seed):
+        # Near the connectivity threshold, so greedy voids occur.
+        positions = np.random.default_rng(seed).random((n, 2))
+        radius = multiple * np.sqrt(np.log(n) / n)
+        assert_hop_counts_match_routes(radius_network(positions, radius))
+
+    @given(
+        st.integers(3, 8),
+        st.sampled_from([0.13, 0.18, 0.26, 0.36]),  # lattice step is 0.125
+        st.integers(0, 2**31 - 1),
+        st.data(),
+    )
+    @settings(max_examples=40)
+    def test_hop_count_matches_greedy_route_on_lattice(
+        self, side, radius, seed, data
+    ):
+        # Exact binary lattice coordinates: many neighbors tie on distance,
+        # so CSR-order tie-breaking and the strict void test both matter.
+        rng = np.random.default_rng(seed)
+        cells = np.array([(i, j) for i in range(side) for j in range(side)])
+        n = data.draw(st.integers(2, len(cells)))
+        positions = 0.125 * cells[rng.permutation(len(cells))[:n]]
+        assert_hop_counts_match_routes(radius_network(positions, radius))
+
+
+def radius_network(positions: np.ndarray, radius: float) -> GeometricNetwork:
+    """Points joined below ``radius``; not necessarily connected."""
+    deltas = positions[:, None, :] - positions[None, :, :]
+    distances = np.sqrt(np.sum(deltas**2, axis=-1))
+    us, vs = np.nonzero(np.triu(distances < radius, k=1))
+    graph = Graph(len(positions), np.stack([us, vs], axis=1))
+    return GeometricNetwork(graph=graph, positions=positions)
+
+
+def assert_hop_counts_match_routes(network: GeometricNetwork) -> None:
+    n = network.graph.n_vertices
+    for target in range(n):
+        for source in range(n):
+            route = greedy_route(network, source, target)
+            expected = None if route is None else len(route) - 1
+            assert network.hop_count(source, target) == expected, (source, target)

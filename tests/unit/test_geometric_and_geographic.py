@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -12,11 +14,20 @@ from repro.errors import AlgorithmError, GraphError
 from repro.graphs.geometric import GeometricNetwork, random_geometric_network
 from repro.graphs.graph import Graph
 
+from oracles import greedy_route
+
 
 def line_network() -> GeometricNetwork:
     """Five nodes on a line, consecutive edges only."""
     graph = Graph(5, [(i, i + 1) for i in range(4)])
     positions = np.array([[0.1 * i, 0.5] for i in range(5)])
+    return GeometricNetwork(graph=graph, positions=positions)
+
+
+def void_network() -> GeometricNetwork:
+    """A three-node line and a disconnected far node: routing to it stalls."""
+    graph = Graph(4, [(0, 1), (1, 2)])
+    positions = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.9, 0.9]])
     return GeometricNetwork(graph=graph, positions=positions)
 
 
@@ -31,20 +42,77 @@ class TestGeometricNetwork:
 
     def test_greedy_route_follows_line(self):
         network = line_network()
-        assert network.greedy_route(0, 4) == [0, 1, 2, 3, 4]
-        assert network.greedy_route(4, 1) == [4, 3, 2, 1]
-        assert network.greedy_route(2, 2) == [2]
+        assert greedy_route(network, 0, 4) == [0, 1, 2, 3, 4]
+        assert greedy_route(network, 4, 1) == [4, 3, 2, 1]
+        assert greedy_route(network, 2, 2) == [2]
 
     def test_greedy_route_detects_void(self):
-        # A disconnected far node: routing toward it stalls immediately.
-        graph = Graph(4, [(0, 1), (1, 2)])
-        positions = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0], [0.9, 0.9]])
-        network = GeometricNetwork(graph=graph, positions=positions)
-        assert network.greedy_route(0, 3) is None
+        network = void_network()
+        assert greedy_route(network, 0, 3) is None
 
     def test_route_endpoint_validation(self):
         with pytest.raises(GraphError):
-            line_network().greedy_route(0, 99)
+            greedy_route(line_network(), 0, 99)
+
+    def test_hop_count_follows_line(self):
+        network = line_network()
+        assert network.hop_count(0, 4) == 4
+        assert network.hop_count(4, 1) == 3
+
+    def test_hop_count_is_zero_from_target_to_itself(self):
+        network = line_network()
+        for vertex in range(5):
+            assert network.hop_count(vertex, vertex) == 0
+        assert network.hop_count(3, 3) == len(greedy_route(network, 3, 3)) - 1
+
+    def test_hop_count_detects_void(self):
+        network = void_network()
+        assert network.hop_count(0, 3) is None
+        assert network.hop_count(3, 0) is None  # isolated: no neighbor at all
+        assert network.hop_count(0, 2) == 2
+
+    @pytest.mark.parametrize("source, target", [(0, 99), (99, 0), (-1, 2), (2, 5)])
+    def test_hop_count_range_error_matches_route(self, source, target):
+        network = line_network()
+        with pytest.raises(GraphError) as oracle_error:
+            greedy_route(network, source, target)
+        with pytest.raises(GraphError) as table_error:
+            network.hop_count(source, target)
+        assert str(table_error.value) == str(oracle_error.value)
+
+    def test_first_hop_compares_against_the_norm(self):
+        # Vertex 1 is vertex 0's mirror image across the target's vertical
+        # line, so both have the same sqrt-sum distance to the target.  The
+        # walk judges the first hop against np.linalg.norm, whose BLAS dot
+        # gives a value one ulp larger here: the route hops where a pure
+        # sqrt-sum test would report a void.  Found by search; whether the
+        # norm differs depends on the platform's dot.
+        positions = np.array([[0.244, 0.515], [0.602, 0.515], [0.423, 0.706]])
+        network = GeometricNetwork(
+            graph=Graph(3, [(0, 1), (1, 2)]), positions=positions
+        )
+        offset = positions[0] - positions[2]
+        mirror = positions[1] - positions[2]
+        sqrt_sum = np.sqrt(np.sum(offset * offset))
+        assert np.sqrt(np.sum(mirror * mirror)) == sqrt_sum
+        if not np.linalg.norm(offset) > sqrt_sum:
+            pytest.skip("this platform's dot gives the norm the sqrt-sum's bits")
+        assert greedy_route(network, 0, 2) == [0, 1, 2]
+        assert network.hop_count(0, 2) == 2
+
+    def test_hop_table_stays_out_of_pickles_eq_and_repr(self):
+        network = line_network()
+        fresh = pickle.dumps(network)
+        before = repr(network)
+        assert network.hop_count(0, 4) == 4
+        assert pickle.dumps(network) == fresh
+        assert repr(network) == before
+        assert network == dataclasses.replace(network)  # an empty cache
+        restored = pickle.loads(pickle.dumps(network))
+        assert restored._hop_table is None
+        assert restored.graph == network.graph
+        assert np.array_equal(restored.positions, network.positions)
+        assert restored.hop_count(4, 0) == 4
 
     def test_random_network_connected_and_sized(self):
         network = random_geometric_network(60, seed=1)
@@ -65,7 +133,7 @@ class TestGeometricNetwork:
         successes = 0
         for _ in range(50):
             s, t = rng.integers(80, size=2)
-            if network.greedy_route(int(s), int(t)) is not None:
+            if network.hop_count(int(s), int(t)) is not None:
                 successes += 1
         assert successes >= 45  # voids must be rare above the threshold
 

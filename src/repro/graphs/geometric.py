@@ -143,7 +143,7 @@ class GeometricNetwork:
 
     def __getstate__(self) -> dict:
         # The hop table is a cache: pickle only the defining state.
-        return {"graph": self.graph, "positions": self.positions}
+        return {k: v for k, v in self.__dict__.items() if k != "_hop_table"}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state, _hop_table=None)
